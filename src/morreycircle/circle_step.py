@@ -28,6 +28,8 @@ from .errors import (
 )
 
 PI = math.pi
+# stored segment lengths may disagree with breakpoint gaps only at rounding level
+_LENGTH_SLACK = 1e-9
 
 
 def wrap_angle(theta):
@@ -162,9 +164,9 @@ def _gap_lengths(breakpoints):
 def make_step(breakpoints, values, lengths=None):
     """Validated StepFunction constructor.
 
-    ``lengths`` is internal: when given it must agree with the breakpoint
-    gaps to within rounding and is stored as the authoritative segment
-    lengths (used by the counterexample constructions and the rearrangement).
+    ``lengths``, when given, must agree with the breakpoint gaps to
+    within ``_LENGTH_SLACK`` and is stored as the authoritative segment
+    lengths (used by saved rearrangements to survive a round trip).
     """
     bps = tuple(float(b) for b in breakpoints)
     vals = tuple(float(v) for v in values)
@@ -185,9 +187,15 @@ def make_step(breakpoints, values, lengths=None):
     for a, b in zip(bps, bps[1:]):
         if a >= b:
             raise UnsortedBreakpoints(f"breakpoints not strictly increasing: {a} >= {b}")
-    if lengths is not None:
-        return StepFunction(bps, vals, tuple(float(x) for x in lengths))
-    return StepFunction(bps, vals)
+    if lengths is None:
+        return StepFunction(bps, vals)
+    lens = tuple(float(x) for x in lengths)
+    if len(lens) != len(bps):
+        raise LengthMismatch(f"{len(bps)} breakpoints but {len(lens)} segment lengths")
+    for got, gap in zip(lens, _gap_lengths(bps)):
+        if not (0.0 < got <= tau and abs(got - gap) <= _LENGTH_SLACK):
+            raise LengthMismatch(f"segment length {got} inconsistent with breakpoints")
+    return StepFunction(bps, vals, lens)
 
 
 def constant(c):

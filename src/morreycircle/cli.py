@@ -27,7 +27,7 @@ from .counterexample import (
 )
 from .errors import MorreyCircleError
 from .io import load_step_function, save_step_function
-from .morrey import MorreyParams, _grid_search, morrey_norm_exact
+from .morrey import MAX_REFINEMENT, MorreyParams, grid_search, morrey_norm_exact
 
 
 def _fmt(x):
@@ -52,22 +52,21 @@ def main():
 @click.option("--lambda", "lam", default=0.5, show_default=True)
 @click.option("--method", type=click.Choice(["exact", "grid"]), default="exact",
               show_default=True)
-@click.option("--refinement", default=4096, show_default=True)
+@click.option("--refinement", type=click.IntRange(2, MAX_REFINEMENT), default=4096,
+              show_default=True)
 @click.option("--out", "out_path", default=None, help="Also write the CSV here.")
 def norm(input_path, p, lam, method, refinement, out_path):
     """Morrey norm of a step function, as a one-row CSV."""
     try:
         f = load_step_function(input_path)
         params = MorreyParams(p, lam)
-        if method == "exact":
-            res = morrey_norm_exact(f, params)
-            value, ratio, arc = res.value, res.ratio_sup, res.argmax
-        else:
-            value, ratio, arc = _grid_search(f, params, refinement)
+        res = (morrey_norm_exact(f, params) if method == "exact"
+               else grid_search(f, params, refinement))
     except (MorreyCircleError, OSError) as exc:
         raise click.ClickException(str(exc))
+    row = (res.value, res.ratio_sup, res.argmax.start, res.argmax.length)
     text = "norm,ratio_sup,arc_start,arc_length\n"
-    text += ",".join(_fmt(x) for x in (value, ratio, arc.start, arc.length)) + "\n"
+    text += ",".join(_fmt(x) for x in row) + "\n"
     _emit(text, out_path)
 
 
@@ -139,7 +138,7 @@ def counterexample(p, lam, eps, n_max, t_grid, tail_tol, out_path):
         for t in ts:
             enc = f_prefix_ratio(params, t, tail_tol)
             bound = divergence_lower_bound(params, t)
-            ok = ok and enc.hi >= bound
+            ok = ok and enc.lo >= bound
             lines.append(",".join(_fmt(x) for x in (t, enc.lo, enc.hi, bound)))
         lines.append("")
 

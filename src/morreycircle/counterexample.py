@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import tau
-
-import numpy as np
+from math import fsum, tau
 
 from .circle_step import Arc, make_step
 from .errors import (
@@ -32,6 +30,7 @@ from .errors import (
     OverlapDetected,
     POutOfRange,
     TOutOfRange,
+    ToleranceUnreachable,
     YOutOfRange,
 )
 
@@ -206,56 +205,68 @@ def divergence_lower_bound(params, t):
     return c * t ** (-eps)
 
 
-# relative inflation covering accumulated rounding in the exact partial sums
-_SUM_GUARD = 1e-13
-_CHUNK = 1 << 22
-
-
-def _block_sum(a_exp, lo, hi):
-    """Sum of n^a_exp / (n(n+1)) for n = lo..hi, in chunks."""
-    total = 0.0
-    n = lo
-    while n <= hi:
-        m = min(hi, n + _CHUNK - 1)
-        x = np.arange(n, m + 1, dtype=np.float64)
-        total += float(np.sum(x ** a_exp / (x * (x + 1.0))))
-        n = m + 1
-    return total
+# unit roundoff of IEEE binary64
+_U = 2.0 ** -53
 
 
 def f_prefix_ratio(params, t, tail_tol):
     """Certified enclosure of the Morrey ratio of the untruncated f on
-    the prefix arc (0, t).
+    the prefix arc (0, t), with hi - lo <= tail_tol * lo.
 
-    Exact block terms are summed up to a cutoff M; the remaining tail of
-    sum n^(1-lam+eps)/(n(n+1)) is enclosed between the integrals of
-    x^(-1-lam+eps) over [M+2, inf) and [M, inf).  The cutoff grows until
-    hi - lo <= tail_tol * lo.
+    The ratio is tau^(lam-1) t^(-lam) S, S = n_b^a (t - 1/(n_b+1)) +
+    sum_{n>n_b} h(n) with n_b = floor(1/t), h(x) = x^(a-1)/(x+1),
+    a = 1-lam+eps and beta = lam-eps.  The head n_b < n <= M is summed by
+    fsum.  h is positive, decreasing and convex, so the trapezoid and
+    midpoint rules put the tail between int_{M+1}^inf h + h(M+1)/2 and
+    int_{M+1/2}^inf h, and x^(-1-beta) - x^(-2-beta) <= h(x) <= the same
+    + x^(-3-beta) (x >= 1) makes both integrals elementary.  M grows from
+    n_b, predicted from the M^(-2-beta) decay of the bracket width.
+
+    Rounding (u = 2^-53, ``**`` assumed within 1 ulp, l = ln(M+1) bounding
+    the log of every base): exponents are within 4u, so with a rounded
+    base each power is within (5+4l)u and each summand within (8+4l)u;
+    the magnitudes total at most 17/16 S (the negative term is below
+    S/32), the partial block's cancellation adds 1.2uS and the two fsums
+    2u, so S is within (11.7+4.25l)u however long the head;
+    tau^(lam-1) t^(-lam) adds 8u, the last product and the widening 3u.
+    lo and hi are widened by (24+5l)u, which covers this and second-order
+    terms.  A tail_tol below twice that relative width raises
+    ToleranceUnreachable.
     """
     if not (0.0 < t < 1.0 / 16.0):
         raise TOutOfRange(f"t must lie in (0, 1/16), got {t}")
-    if tail_tol <= 0.0:
-        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
     lam, eps = params.lam, params.eps
-    a_exp = 1.0 - lam + eps
-    beta = lam - eps
+    a, beta = 1.0 - lam + eps, lam - eps
+
+    def h(x):
+        return x ** -beta / (x + 1.0)
+
+    def envelope_integral(x, terms):
+        # int_x^inf of sum_{j < terms} (-1)^j y^(-1-j-beta) dy
+        return [(-1) ** j * x ** (-j - beta) / (j + beta) for j in range(terms)]
 
     n_b = math.floor(1.0 / t)
-    partial = float(n_b) ** a_exp * max(0.0, t - 1.0 / (n_b + 1))
-
+    partial = float(n_b) ** a * max(0.0, t - 1.0 / (n_b + 1))
     factor = tau ** (lam - 1.0) * t ** (-lam)
-    cutoff = n_b
-    exact = 0.0
+    m = n_b
     while True:
-        t_lo = (cutoff + 2.0) ** (-beta) / beta
-        t_hi = float(cutoff) ** (-beta) / beta
-        lo = (partial + exact + t_lo) * factor * (1.0 - _SUM_GUARD)
-        hi = (partial + exact + t_hi) * factor * (1.0 + _SUM_GUARD)
-        if hi - lo <= tail_tol * lo or cutoff > n_b * 10 ** 7:
+        head = fsum(h(float(n)) for n in range(n_b + 1, m + 1))
+        s_lo = fsum([partial, head, h(m + 1.0) / 2.0,
+                     *envelope_integral(m + 1.0, 2)])
+        s_hi = fsum([partial, head, *envelope_integral(m + 0.5, 3)])
+        k = 24.0 + 5.0 * math.log(m + 1.0)
+        lo = s_lo * factor * (1.0 - k * _U)
+        hi = s_hi * factor * (1.0 + k * _U)
+        if hi - lo <= tail_tol * lo:
             return BoundedValue(lo, hi)
-        new_cutoff = cutoff * 2
-        exact += _block_sum(a_exp, cutoff + 1, new_cutoff)
-        cutoff = new_cutoff
+        rounding = k * _U * (s_lo + s_hi) * factor
+        if not rounding <= tail_tol * lo / 2.0:
+            raise ToleranceUnreachable(
+                f"tail_tol={tail_tol} is below twice the rounding bound "
+                f"{rounding / lo:.3g} of the enclosure"
+            )
+        shrink = (hi - lo - rounding) / (tail_tol * lo - rounding)
+        m = max(m + 1, math.ceil(m * shrink ** (1.0 / (2.0 + beta))))
 
 
 def phi(lam, y):
@@ -265,53 +276,29 @@ def phi(lam, y):
     return (math.sqrt(y) - 1.0) ** (-lam) * (y ** (lam / 2.0) - 1.0)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def phi_sup(lam):
+    """Supremum of phi over (1, inf): exactly 1, and never attained.
 
-
-def _golden_max(fun, a, b, tol=1e-12):
-    """Golden-section maximization of a unimodal function on [a, b]."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fun(d)
-    return max(fc, fd)
-
-
-def phi_sup(lam, samples=100_000):
-    """Numerical supremum of phi over (1, inf).
-
-    Dense log-spaced sampling of (1, 1e12] plus golden-section
-    refinement around the best sample; the limit 1 at infinity is a
-    final candidate rather than an assumption.
+    With s = sqrt(y) > 1, phi = (s^lam - 1) / (s - 1)^lam, and
+    d/ds log phi = lam s^(lam-1) / (s^lam - 1) - lam / (s - 1) has the
+    sign of (s - 1) s^(lam-1) - (s^lam - 1) = 1 - s^(lam-1) > 0 for
+    0 < lam < 1.  So phi rises strictly from 0 (s -> 1) toward its
+    limit 1 (s -> inf).
     """
     if not (0.0 < lam < 1.0):
         raise LambdaOutOfRange(f"lambda must lie in (0, 1), got {lam}")
-    u = np.logspace(-9.0, 12.0, samples)       # u = y - 1
-    y = 1.0 + u
-    vals = (np.sqrt(y) - 1.0) ** (-lam) * (y ** (lam / 2.0) - 1.0)
-    k = int(np.argmax(vals))
-    lo = math.log(u[max(0, k - 1)])
-    hi = math.log(u[min(samples - 1, k + 1)])
-    refined = _golden_max(lambda s: phi(lam, 1.0 + math.exp(s)), lo, hi)
-    return max(float(np.max(vals)), refined, 1.0)
+    return 1.0
 
 
 def g_ratio_upper_bound(params):
     """Upper bound on the Morrey ratio of g over all arcs.
 
-    The multi-block case is bounded by 2^(lam+3) * M_lam / (pi * lam);
-    single-block arcs are below 1, hence the max with 1.
+    The multi-block case is bounded by 2^(lam+3) * M_lam / (pi * lam)
+    with M_lam = phi_sup(lam) = 1; single-block arcs are below 1, hence
+    the max with 1.
     """
     lam = params.lam
-    return max(1.0, 2.0 ** (lam + 3.0) * phi_sup(lam) / (math.pi * lam))
+    return max(1.0, 2.0 ** (lam + 3.0) / (math.pi * lam))
 
 
 def measure_lower_bound_check(n0, n1):

@@ -63,3 +63,11 @@ class ArcOutsideDomain(MorreyCircleError):
 
 class IndexOutOfRange(MorreyCircleError):
     pass
+
+
+class ToleranceUnreachable(MorreyCircleError):
+    pass
+
+
+class RefinementOutOfRange(MorreyCircleError):
+    pass

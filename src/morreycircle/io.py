@@ -11,13 +11,9 @@ without it are read with lengths recovered from breakpoint differences.
 from __future__ import annotations
 
 import json
-from math import tau
 
-from .circle_step import StepFunction, _gap_lengths, make_step
+from .circle_step import StepFunction, make_step
 from .errors import MorreyCircleError
-
-# stored lengths may disagree with breakpoint gaps only at rounding level
-_LENGTH_SLACK = 1e-9
 
 
 def load_step_function(path):
@@ -36,17 +32,8 @@ def load_step_function(path):
     if not isinstance(bps, list) or not isinstance(vals, list):
         raise MorreyCircleError(f"{path}: breakpoints_rad and values must be arrays")
     lengths = doc.get("segment_lengths_rad")
-    if lengths is not None:
-        if not isinstance(lengths, list) or len(lengths) != len(bps):
-            raise MorreyCircleError(
-                f"{path}: segment_lengths_rad must match breakpoints_rad in length"
-            )
-        gaps = _gap_lengths(tuple(float(b) for b in bps))
-        for got, gap in zip(lengths, gaps):
-            if not (0.0 < got <= tau) or abs(got - gap) > _LENGTH_SLACK:
-                raise MorreyCircleError(
-                    f"{path}: segment length {got} inconsistent with breakpoints"
-                )
+    if lengths is not None and not isinstance(lengths, list):
+        raise MorreyCircleError(f"{path}: segment_lengths_rad must be an array")
     return make_step(bps, vals, lengths)
 
 

@@ -20,8 +20,11 @@ from math import tau
 
 import numpy as np
 
-from .circle_step import Arc, StepFunction, _gap_lengths, integral_p, wrap_angle
-from .errors import LambdaOutOfRange, POutOfRange, TOutOfRange, ZeroMeasureArc
+from .circle_step import Arc, StepFunction, integral_p, wrap_angle
+from .errors import (LambdaOutOfRange, POutOfRange, RefinementOutOfRange,
+                     TOutOfRange, ZeroMeasureArc)
+
+MAX_REFINEMENT = 65536      # largest grid accepted by grid_search
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ def morrey_norm_exact(f, params):
     """
     p, lam = params.p, params.lam
     bps = np.asarray(f.breakpoints)
-    lens = np.asarray(_gap_lengths(f.breakpoints))
+    lens = np.asarray(f.lengths)
     dens = np.abs(np.asarray(f.values)) ** p
     k = len(bps)
     total = float(np.dot(dens, lens) / tau)
@@ -99,19 +102,21 @@ def morrey_norm_exact(f, params):
     return NormResult(best_r ** (1.0 / p), best_r, arc)
 
 
-def _grid_points(f, refinement):
-    r = int(refinement)
-    grid = -math.pi + tau * np.arange(1, r + 1) / r
-    pts = np.union1d(np.asarray(f.breakpoints), grid)
-    return pts[(pts > -math.pi) & (pts <= math.pi)]
+def grid_search(f, params, refinement):
+    """Best arc whose endpoints lie on breakpoints plus a uniform grid.
 
-
-def _grid_search(f, params, refinement, block=256):
-    """Best arc whose endpoints lie on breakpoints plus a uniform grid."""
-    if refinement < 2:
-        raise ValueError(f"refinement must be >= 2, got {refinement}")
+    The pair matrix is scanned in blocks of about 2^20 elements (255 rows
+    at refinement 4096); the first maximum in row-major order wins, so the
+    result does not depend on the block size.
+    """
+    if not (2 <= refinement <= MAX_REFINEMENT):
+        raise RefinementOutOfRange(
+            f"refinement must lie in [2, {MAX_REFINEMENT}], got {refinement}"
+        )
     p, lam = params.p, params.lam
-    pts = _grid_points(f, refinement)
+    n = int(refinement)
+    pts = np.union1d(np.asarray(f.breakpoints), -math.pi + tau * np.arange(1, n + 1) / n)
+    pts = pts[(pts > -math.pi) & (pts <= math.pi)]
     m_count = len(pts)
     bps = np.asarray(f.breakpoints)
     gaps = np.diff(np.concatenate((pts, [pts[0] + tau])))
@@ -124,6 +129,7 @@ def _grid_search(f, params, refinement, block=256):
     total = float(np.sum(contrib))
     pre = np.concatenate(([0.0], np.cumsum(contrib)))[:m_count]
 
+    block = max(1, (1 << 20) // m_count)
     best_r, best_a, best_b = total, None, None
     for lo in range(0, m_count, block):
         hi = min(lo + block, m_count)
@@ -144,14 +150,13 @@ def _grid_search(f, params, refinement, block=256):
         arc = Arc(f.breakpoints[0], tau)
     else:
         arc = Arc.from_endpoints(float(pts[best_a]), float(pts[best_b]))
-    return best_r ** (1.0 / p), best_r, arc
+    return NormResult(best_r ** (1.0 / p), best_r, arc)
 
 
 def morrey_norm_grid(f, params, refinement):
     """Grid-search lower bound on the Morrey norm, nondecreasing under
     grid refinement (for nested grids)."""
-    value, _, _ = _grid_search(f, params, refinement)
-    return value
+    return grid_search(f, params, refinement).value
 
 
 def sup_over_prefix_arcs(f, params, t_list):

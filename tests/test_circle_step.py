@@ -59,6 +59,13 @@ def test_make_step_empty():
     with pytest.raises(LengthMismatch):
         make_step([], [])
 
+def test_make_step_inconsistent_lengths():
+    make_step([0.0, 1.0], [1.0, 2.0], [1.0, tau - 1.0 + 1e-12])
+    for lengths in ([1.0, tau - 1.0 + 1e-6], [1.0 + 1e-6, tau - 1.0], [1.0],
+                    [1.0, tau - 1.0, 0.5], [1.0, float("nan")]):
+        with pytest.raises(LengthMismatch):
+            make_step([0.0, 1.0], [1.0, 2.0], lengths)
+
 
 # --- integral ---
 

@@ -3,8 +3,18 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from morreycircle import build_g, load_step_function, make_step, save_step_function, validate_params
+import morreycircle.cli as cli
+from morreycircle import (
+    BoundedValue,
+    build_g,
+    divergence_lower_bound,
+    load_step_function,
+    make_step,
+    save_step_function,
+    validate_params,
+)
 from morreycircle.cli import main
+from morreycircle.errors import LengthMismatch
 
 
 @pytest.fixture
@@ -47,6 +57,26 @@ def test_norm_grid_method(runner, tmp_path):
     assert v_grid <= v_exact + 1e-12
     assert v_grid == pytest.approx(v_exact, rel=1e-2)
 
+
+def test_norm_grid_refinement_out_of_range_is_usage_error(runner, tmp_path):
+    path = _write(tmp_path / "c.json", make_step([0.0], [1.0]))
+    for refinement in ("1", "65537"):
+        res = runner.invoke(main, ["norm", "--input", path, "--method", "grid",
+                                   "--refinement", refinement])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "refinement" in res.output
+
+def test_norm_rejects_inconsistent_segment_lengths(runner, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"breakpoints_rad": [0.0, 1.0], "values": [1.0, 2.0],
+                                "segment_lengths_rad": [1.5, 4.783185307179586]}))
+    with pytest.raises(LengthMismatch):
+        load_step_function(str(path))
+    res = runner.invoke(main, ["norm", "--input", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "inconsistent" in res.output
 
 def test_norm_malformed_input_fails(runner, tmp_path):
     bad = tmp_path / "bad.json"
@@ -112,6 +142,23 @@ def test_counterexample_report_passes(runner):
         _, lo, hi, bound = (float(x) for x in row.split(","))
         assert hi >= bound and lo <= hi
 
+
+def test_counterexample_gates_on_certified_lower_end(runner, monkeypatch):
+    # an enclosure straddling the bound does not certify divergence
+    def straddling(params, t, tail_tol):
+        bound = divergence_lower_bound(params, t)
+        return BoundedValue(0.5 * bound, 2.0 * bound)
+
+    monkeypatch.setattr(cli, "f_prefix_ratio", straddling)
+    res = runner.invoke(main, ["counterexample", "--n", "120", "--t-grid", "1e-2"])
+    assert res.exit_code == 1
+
+def test_counterexample_unreachable_tail_tol_is_clean_error(runner):
+    res = runner.invoke(main, ["counterexample", "--n", "120", "--t-grid", "1e-2",
+                               "--tail-tol", "1e-17"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: tail_tol=1e-17" in res.output
 
 def test_counterexample_rejects_bad_eps(runner):
     res = runner.invoke(main, ["counterexample", "--eps", "0.25"])

@@ -1,8 +1,10 @@
 import math
 from math import pi, tau
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from morreycircle import (
     Arc,
@@ -31,6 +33,7 @@ from morreycircle.errors import (
     LambdaOutOfRange,
     NTooSmall,
     TOutOfRange,
+    ToleranceUnreachable,
     YOutOfRange,
 )
 
@@ -231,6 +234,37 @@ def test_f_prefix_ratio_rejects_bad_inputs():
     with pytest.raises(ValueError):
         f_prefix_ratio(PRM, 1e-3, 0.0)
 
+def test_f_prefix_ratio_unreachable_tolerance_raises():
+    # rounding alone widens the enclosure by ~1e-14 relative
+    for tol in (1e-17, 0.0, -1e-8, float("nan")):
+        with pytest.raises(ToleranceUnreachable):
+            f_prefix_ratio(PRM, 1e-3, tol)
+
+def _prefix_ratio_oracle(lam, eps, t, dps=40):
+    """The untruncated prefix ratio to ~dps digits: the partial block plus
+    sum_{n > n_b} n^(a-1)/(n+1) = sum_k (-1)^k zeta(2-a+k, n_b+1)."""
+    with mpmath.workdps(dps):
+        lam, eps, t = mpmath.mpf(lam), mpmath.mpf(eps), mpmath.mpf(t)
+        a = 1 - lam + eps
+        n_b = int(mpmath.floor(1 / t))
+        s = n_b ** a * (t - mpmath.mpf(1) / (n_b + 1))
+        for k in range(200):
+            term = (-1) ** k * mpmath.zeta(2 - a + k, n_b + 1)
+            s += term
+            if abs(term) < mpmath.mpf(10) ** (-dps) * s:
+                break
+        else:
+            raise AssertionError("alternating zeta series did not converge")
+        return s * (2 * mpmath.pi) ** (lam - 1) * t ** (-lam)
+
+@pytest.mark.parametrize("lam,eps", [(0.5, 0.2), (0.3, 0.05), (0.9, 0.04)])
+@pytest.mark.parametrize("t", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_f_prefix_ratio_contains_zeta_oracle(lam, eps, t):
+    enc = f_prefix_ratio(validate_params(1.0, lam, eps), t, 1e-8)
+    truth = _prefix_ratio_oracle(lam, eps, t)
+    assert enc.lo <= truth <= enc.hi
+    assert enc.width <= 1e-8 * enc.lo
+
 
 # --- phi and the boundedness of g ---
 
@@ -245,6 +279,13 @@ def test_phi_domain():
     for y in (1.0, 0.5, -2.0):
         with pytest.raises(YOutOfRange):
             phi(0.5, y)
+
+@given(st.floats(0.01, 0.99), st.floats(-4.0, 12.0), st.floats(-4.0, 12.0))
+def test_hyp_phi_nondecreasing(lam, s1, s2):
+    y1, y2 = sorted((1.0 + 10.0 ** s1, 1.0 + 10.0 ** s2))
+    if y1 < y2:
+        assert phi(lam, y1) <= phi(lam, y2) * (1.0 + 1e-9)
+    assert phi(lam, y2) <= phi_sup(lam) + 1e-12
 
 def test_phi_sup_is_one_for_midrange_lambda():
     # oracle: dense log-grid sampling never exceeds 1, limit at infinity is 1

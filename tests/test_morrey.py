@@ -18,8 +18,15 @@ from morreycircle import (
     validate_params,
     build_f,
     build_g,
+    grid_search,
 )
-from morreycircle.errors import LambdaOutOfRange, POutOfRange, TOutOfRange
+from morreycircle.errors import (
+    LambdaOutOfRange,
+    POutOfRange,
+    RefinementOutOfRange,
+    TOutOfRange,
+)
+from morreycircle.morrey import MAX_REFINEMENT
 
 from conftest import random_step
 
@@ -142,6 +149,18 @@ def test_grid_indicator_exact_when_breakpoints_included():
 def test_grid_refinement_rejected():
     with pytest.raises(ValueError):
         morrey_norm_grid(constant(1.0), MorreyParams(1.0, 0.5), 1)
+    for refinement in (0, 1, MAX_REFINEMENT + 1):
+        with pytest.raises(RefinementOutOfRange):
+            grid_search(constant(1.0), MorreyParams(1.0, 0.5), refinement)
+
+def test_grid_search_result_consistency(rng):
+    for _ in range(5):
+        f = random_step(rng, value_lo=0.0)
+        mp = MorreyParams(1.0, 0.5)
+        res = grid_search(f, mp, 256)
+        assert res.value == morrey_norm_grid(f, mp, 256)
+        assert res.value == res.ratio_sup
+        assert morrey_ratio(f, res.argmax, mp) == pytest.approx(res.ratio_sup, rel=1e-9)
 
 def test_grid_nondecreasing_under_doubling(rng):
     for _ in range(5):
