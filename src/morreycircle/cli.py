@@ -12,9 +12,16 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
+import os
 import sys
 
-import click
+# numpy's OpenBLAS starts one busy-waiting worker per CPU when it loads. No
+# command here does threaded linear algebra, so those workers only burn CPU,
+# and what they cost in wall time depends on the load of the host. This must
+# run before numpy is imported; an explicit setting in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import click  # noqa: E402
 
 from .circle_step import decreasing_rearrangement, equimeasurable as eq_check
 from .counterexample import (

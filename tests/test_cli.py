@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -196,3 +199,20 @@ def test_saved_file_roundtrips_lengths(tmp_path):
     back = load_step_function(str(p))
     assert back.lengths == g.lengths
     assert back.values == g.values
+
+
+def _fresh_import_probe(env):
+    probe = ("import os, sys, morreycircle; had_numpy = 'numpy' in sys.modules; "
+             "import morreycircle.cli; print(had_numpy, os.environ['OPENBLAS_NUM_THREADS'])")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.split()
+
+
+def test_cli_loads_numpy_with_one_blas_thread():
+    # the package alone imports no numpy, so the CLI can set the BLAS thread
+    # count before numpy loads; an explicit setting in the environment wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _fresh_import_probe(env) == ["False", "1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert _fresh_import_probe(env) == ["False", "2"]
