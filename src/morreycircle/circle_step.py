@@ -20,9 +20,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import fsum, tau
 
+import numpy as np
+
 from .errors import (
     AngleOutOfRange,
     LengthMismatch,
+    NonFiniteNumber,
+    TolOutOfRange,
     UnsortedBreakpoints,
     ZeroMeasureArc,
 )
@@ -92,14 +96,6 @@ class StepFunction:
     def num_segments(self):
         return len(self.breakpoints)
 
-    def segments(self):
-        """Yield (start, end, value) with end unwrapped past the cut."""
-        bps = self.breakpoints
-        k = len(bps)
-        for i in range(k):
-            end = bps[i + 1] if i + 1 < k else bps[0] + tau
-            yield bps[i], end, self.values[i]
-
     def value_at(self, theta):
         """Value on the segment containing ``theta`` (endpoints go left)."""
         theta = wrap_angle(theta)
@@ -110,23 +106,7 @@ class StepFunction:
 
     def rotated(self, phi):
         """Rotate counterclockwise by ``phi``; segment lengths are kept."""
-        shifted = [wrap_angle(b + phi) for b in self.breakpoints]
-        k = len(shifted)
-        if k == 1:
-            return StepFunction((shifted[0],), self.values, self.lengths)
-        pivot = min(range(k), key=shifted.__getitem__)
-        order = list(range(pivot, k)) + list(range(pivot))
-        bps = tuple(shifted[i] for i in order)
-        for a, b in zip(bps, bps[1:]):
-            if a >= b:
-                raise UnsortedBreakpoints(
-                    "rotation collapsed two breakpoints; choose another angle"
-                )
-        return StepFunction(
-            bps,
-            tuple(self.values[i] for i in order),
-            tuple(self.lengths[i] for i in order),
-        )
+        return _circular([b + phi for b in self.breakpoints], self.values, self.lengths)
 
     def canonicalize(self):
         """Merge circularly adjacent segments carrying equal values."""
@@ -161,6 +141,28 @@ def _gap_lengths(breakpoints):
     return tuple(out)
 
 
+def _circular(angles, values, lengths):
+    """StepFunction from segments listed in circular order from any start.
+
+    Each angle is wrapped into (-pi, pi], and all three sequences are
+    rotated so that the smallest angle comes first.
+    """
+    wrapped = [wrap_angle(b) for b in angles]
+    i = wrapped.index(min(wrapped))
+    bps = tuple(wrapped[i:] + wrapped[:i])
+    if any(a >= b for a, b in zip(bps, bps[1:])):
+        raise UnsortedBreakpoints("two breakpoints collapsed onto one angle")
+    return StepFunction(bps, tuple(values[i:] + values[:i]),
+                        tuple(lengths[i:] + lengths[:i]))
+
+
+def _floats(xs, what):
+    try:
+        return tuple(map(float, xs))
+    except (TypeError, ValueError) as exc:
+        raise NonFiniteNumber(f"{what} must be numbers: {exc}") from exc
+
+
 def make_step(breakpoints, values, lengths=None):
     """Validated StepFunction constructor.
 
@@ -168,8 +170,10 @@ def make_step(breakpoints, values, lengths=None):
     within ``_LENGTH_SLACK`` and is stored as the authoritative segment
     lengths (used by saved rearrangements to survive a round trip).
     """
-    bps = tuple(float(b) for b in breakpoints)
-    vals = tuple(float(v) for v in values)
+    bps = _floats(breakpoints, "breakpoints")
+    vals = _floats(values, "values")
+    if not all(map(math.isfinite, bps + vals)):
+        raise NonFiniteNumber("breakpoints and values must be finite")
     if not bps or not vals:
         raise LengthMismatch("breakpoints and values must be non-empty")
     if len(bps) != len(vals):
@@ -180,8 +184,6 @@ def make_step(breakpoints, values, lengths=None):
         # -pi and pi name the same point on the cut; accept either end
         if not (-PI <= b <= PI):
             raise AngleOutOfRange(f"breakpoint {b} not in [-pi, pi]")
-        if math.isnan(b):
-            raise AngleOutOfRange("breakpoint is NaN")
     if len(bps) > 1 and bps[0] == -PI and bps[-1] == PI:
         raise AngleOutOfRange("breakpoints -pi and pi coincide on the circle")
     for a, b in zip(bps, bps[1:]):
@@ -189,7 +191,7 @@ def make_step(breakpoints, values, lengths=None):
             raise UnsortedBreakpoints(f"breakpoints not strictly increasing: {a} >= {b}")
     if lengths is None:
         return StepFunction(bps, vals)
-    lens = tuple(float(x) for x in lengths)
+    lens = _floats(lengths, "segment lengths")
     if len(lens) != len(bps):
         raise LengthMismatch(f"{len(bps)} breakpoints but {len(lens)} segment lengths")
     for got, gap in zip(lens, _gap_lengths(bps)):
@@ -214,31 +216,25 @@ def indicator(arc):
     return make_step([end, start], [0.0, 1.0])
 
 
-def _overlap(lo1, hi1, lo2, hi2):
-    return max(0.0, min(hi1, hi2) - max(lo1, lo2))
-
-
 def integral_p(f, arc, p):
     """Exact integral of |f|^p over an arc, w.r.t. normalized measure.
 
-    Sums |value|^p times the overlap of each segment with the arc; arcs
-    wrapping the -pi/pi cut are handled by considering each segment and
-    its 2*pi translate.
+    The arc is placed at or after the first breakpoint, and each segment,
+    together with its 2*pi translate, is overlapped with it; arcs through
+    the -pi/pi cut meet the translates.  The overlaps are taken over numpy
+    arrays, and the products |value|^p * overlap are summed by fsum.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    a = arc.start
     b0 = f.breakpoints[0]
-    a = b0 + ((a - b0) % tau)
+    a = b0 + ((arc.start - b0) % tau)
     hi = a + arc.length
-    total = 0.0
-    for s, e, v in f.segments():
-        if v == 0.0:
-            continue
-        ov = _overlap(s, e, a, hi) + _overlap(s + tau, e + tau, a, hi)
-        if ov > 0.0:
-            total += abs(v) ** p * ov
-    return total / tau
+    starts = np.asarray(f.breakpoints)
+    ends = np.append(starts[1:], b0 + tau)
+    ov = (np.maximum(0.0, np.minimum(ends, hi) - np.maximum(starts, a))
+          + np.maximum(0.0, np.minimum(ends + tau, hi) - np.maximum(starts + tau, a)))
+    hit = ov > 0.0
+    return fsum((np.abs(np.asarray(f.values)[hit]) ** p * ov[hit]).tolist()) / tau
 
 
 @dataclass(frozen=True)
@@ -284,8 +280,8 @@ def equimeasurable(f, g, tol=0.0):
     Magnitudes are compared relatively and measures absolutely, both to
     ``tol``; tol = 0 demands exact agreement.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0.0:
+        raise TolOutOfRange(f"tol must be a nonnegative number, got {tol}")
     df, dg = distribution(f), distribution(g)
     if len(df.entries) != len(dg.entries):
         return False
@@ -316,20 +312,5 @@ def decreasing_rearrangement(f):
             nxt = math.nextafter(nxt, math.inf)
         cuts.append(nxt)
     if summary.zero_measure > 0.0 and cuts[-1] < tau:
-        bps = cuts[:-1] + [cuts[-1]]
-        vals = mags + [0.0]
-        lens = rads + [tau - cuts[-1]]
-    else:
-        bps = cuts[:-1]
-        vals = mags
-        lens = rads
-    # fold angles beyond pi back to (-pi, 0) and restore circular order
-    wrapped = [b if b <= PI else b - tau for b in bps]
-    k = len(wrapped)
-    pivot = min(range(k), key=wrapped.__getitem__)
-    order = list(range(pivot, k)) + list(range(pivot))
-    return StepFunction(
-        tuple(wrapped[i] for i in order),
-        tuple(vals[i] for i in order),
-        tuple(lens[i] for i in order),
-    )
+        return _circular(cuts, mags + [0.0], rads + [tau - cuts[-1]])
+    return _circular(cuts[:-1], mags, rads)

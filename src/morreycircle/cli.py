@@ -113,7 +113,7 @@ def _n_schedule(n_max):
         sched.append(v)
         v *= 10
     sched.append(n_max)
-    return sorted(set(s for s in sched if s <= n_max))
+    return sched
 
 
 @main.command()

@@ -177,8 +177,6 @@ def arc_index_bounds(arc):
         n0 += 1
     while n0 > 2 and sup_t > h(n0 - 1):
         n0 -= 1
-    if sup_t > h(1):
-        n0 = 1
     return IndexBounds(n0, n1)
 
 
@@ -233,8 +231,8 @@ def f_prefix_ratio(params, t, tail_tol):
     terms.  A tail_tol below twice that relative width raises
     ToleranceUnreachable.
     """
-    if not (0.0 < t < 1.0 / 16.0):
-        raise TOutOfRange(f"t must lie in (0, 1/16), got {t}")
+    if not (0.0 < t < 1.0 / 16.0 and 1.0 / t < math.inf):
+        raise TOutOfRange(f"t must lie in (0, 1/16) with 1/t finite, got {t}")
     lam, eps = params.lam, params.eps
     a, beta = 1.0 - lam + eps, lam - eps
 

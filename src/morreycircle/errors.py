@@ -19,6 +19,10 @@ class AngleOutOfRange(MorreyCircleError):
     pass
 
 
+class NonFiniteNumber(MorreyCircleError):
+    """A breakpoint, value or length that is not a finite number."""
+
+
 # --- arcs and ratios ---
 
 class ZeroMeasureArc(MorreyCircleError):
@@ -36,6 +40,10 @@ class LambdaOutOfRange(MorreyCircleError):
 
 
 class EpsOutOfRange(MorreyCircleError):
+    pass
+
+
+class TolOutOfRange(MorreyCircleError):
     pass
 
 

@@ -69,9 +69,8 @@ def morrey_norm_exact(f, params):
     total = float(np.dot(dens, lens) / tau)
     full = Arc(f.breakpoints[0], tau)
 
-    if lam == 0.0 or not np.any(dens > 0.0):
-        ratio = total
-        return NormResult(ratio ** (1.0 / p), ratio, full)
+    if lam == 0.0:
+        return NormResult(total ** (1.0 / p), total, full)
 
     meas = lens / tau
     cm = np.concatenate(([0.0], np.cumsum(np.tile(meas, 2))))
@@ -79,7 +78,7 @@ def morrey_norm_exact(f, params):
     cl = np.concatenate(([0.0], np.cumsum(np.tile(lens, 2))))
 
     nz = np.flatnonzero(dens > 0.0)
-    best_r, best_len, best_start, best_ij = total, tau, full.start, None
+    best_r, best_len, best_start = total, tau, full.start
     for pos, qi in enumerate(nz):
         # end segments in circular order from qi: lengths increase along
         # the vector, so argmax picks the shortest maximizing arc
@@ -93,10 +92,8 @@ def morrey_norm_exact(f, params):
         start = float(bps[qi])
         if (rb > best_r
                 or (rb == best_r and (length, start) < (best_len, best_start))):
-            best_r, best_len, best_start, best_ij = rb, length, start, (qi, int(pj[jb]))
+            best_r, best_len, best_start = rb, length, start
 
-    if best_ij is None:
-        return NormResult(total ** (1.0 / p), total, full)
     length = min(best_len, tau)
     arc = full if length == tau else Arc(wrap_angle(best_start), length)
     return NormResult(best_r ** (1.0 / p), best_r, arc)
@@ -135,7 +132,8 @@ def grid_search(f, params, refinement):
         hi = min(lo + block, m_count)
         ia = pre[lo:hi, None]
         integ = pre[None, :] - ia
-        integ[integ < 0] += total
+        # arcs with end index below start index wrap past the cut
+        integ[np.tri(hi - lo, m_count, lo - 1, dtype=bool)] += total
         meas = (pts[None, :] - pts[lo:hi, None]) / tau
         meas[meas <= 0] += 1.0
         np.fill_diagonal(integ[:, lo:hi], 0.0)  # skip degenerate a == b arcs

@@ -15,12 +15,15 @@ from morreycircle import (
     integral_p,
     make_step,
     validate_params,
+    wrap_angle,
     build_f,
     build_g,
 )
 from morreycircle.errors import (
     AngleOutOfRange,
     LengthMismatch,
+    NonFiniteNumber,
+    TolOutOfRange,
     UnsortedBreakpoints,
 )
 
@@ -66,6 +69,16 @@ def test_make_step_inconsistent_lengths():
         with pytest.raises(LengthMismatch):
             make_step([0.0, 1.0], [1.0, 2.0], lengths)
 
+def test_make_step_rejects_non_numbers():
+    nan, inf = float("nan"), float("inf")
+    for bps, vals in (([0.0, 1.0], ["abc", 2.0]), ([[0.0], 1.0], [1.0, 2.0]),
+                      ([0.0, 1.0], [nan, 2.0]), ([0.0, 1.0], [inf, 2.0]),
+                      ([0.0, nan], [1.0, 2.0]), ([-inf, 0.0], [1.0, 2.0])):
+        with pytest.raises(NonFiniteNumber):
+            make_step(bps, vals)
+    with pytest.raises(NonFiniteNumber):
+        make_step([0.0, 1.0], [1.0, 2.0], ["x", 2.0])
+
 
 # --- integral ---
 
@@ -94,6 +107,42 @@ def test_integral_additivity_random(rng):
         part1 = integral_p(f, Arc(start, cut), p)
         part2 = integral_p(f, Arc(wrap_angle(start + cut), length - cut), p)
         assert part1 + part2 == pytest.approx(whole, rel=1e-12, abs=1e-15)
+
+
+def _integral_by_segments(f, arc, p):
+    """Oracle: a loop over the segments, placing the arc as integral_p does
+    and adding |value|^p times the overlap of each segment and of its 2*pi
+    translate with the arc."""
+    bps, k = f.breakpoints, f.num_segments
+    a = bps[0] + ((arc.start - bps[0]) % tau)
+    hi = a + arc.length
+    total = 0.0
+    for i, v in enumerate(f.values):
+        s, e = bps[i], (bps[i + 1] if i + 1 < k else bps[0] + tau)
+        ov = (max(0.0, min(e, hi) - max(s, a))
+              + max(0.0, min(e + tau, hi) - max(s + tau, a)))
+        total += abs(v) ** p * ov
+    return total / tau
+
+@pytest.mark.parametrize("p", [1.0, 2.5])
+def test_integral_matches_segment_loop_on_rotated_g(rng, p):
+    # g's support (0.0099, 0.25), turned by 2.9, runs through the cut at pi
+    g = build_g(PRM, 10_000).rotated(2.9)
+    assert g.breakpoints[0] < -3.0 and g.breakpoints[-1] > 3.0
+    arcs = [Arc(0.0, tau), Arc(g.breakpoints[0], tau), Arc(3.0, 0.5), Arc(pi, 0.2),
+            Arc(-pi + 1e-3, tau - 2e-3), Arc(g.breakpoints[-1], 1.0)]
+    # per sampled block: an arc inside it, and an arc from its start onward
+    blocks = [i for i, v in enumerate(g.values) if v > 0.0]
+    for i in rng.choice(blocks, size=8, replace=False):
+        start, length = g.breakpoints[i], g.lengths[i]
+        arcs.append(Arc(start + 0.25 * length, 0.5 * length))
+        arcs.append(Arc(start, float(rng.uniform(length, 0.3))))
+    for start, length in zip(rng.uniform(2.8, 3.3, size=10),
+                             np.exp(rng.uniform(math.log(1e-9), 0.0, size=10))):
+        arcs.append(Arc(wrap_angle(float(start)), float(length)))
+    for arc in arcs:
+        want = _integral_by_segments(g, arc, p)
+        assert integral_p(g, arc, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # --- distribution ---
@@ -154,6 +203,12 @@ def test_equimeasurable_symmetric(rng):
         f, g = random_step(rng), random_step(rng)
         tol = float(rng.choice([0.0, 1e-12, 1e-3]))
         assert equimeasurable(f, g, tol) == equimeasurable(g, f, tol)
+
+def test_equimeasurable_rejects_bad_tolerance():
+    f = constant(1.0)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(TolOutOfRange):
+            equimeasurable(f, f, tol)
 
 def test_counterexample_pair_equimeasurable_at_zero_tolerance():
     for n in (16, 17, 100, 1000):
@@ -216,6 +271,11 @@ def test_rotate_round_trip(rng):
     g = f.rotated(1.234).rotated(-1.234)
     for b1, b2 in zip(f.breakpoints, g.breakpoints):
         assert b1 == pytest.approx(b2, abs=1e-12)
+
+def test_rotate_collapsing_breakpoints_raises():
+    # 1.0 + 1e-17 rounds to 1.0
+    with pytest.raises(UnsortedBreakpoints):
+        make_step([0.0, 1e-17], [1.0, 2.0]).rotated(1.0)
 
 
 # --- hypothesis properties ---

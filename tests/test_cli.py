@@ -81,6 +81,24 @@ def test_norm_rejects_inconsistent_segment_lengths(runner, tmp_path):
     assert isinstance(res.exception, SystemExit)
     assert "inconsistent" in res.output
 
+@pytest.mark.parametrize("command", ["norm", "rearrange"])
+@pytest.mark.parametrize("doc", [
+    {"breakpoints_rad": [0.0, 1.0], "values": ["abc", 2]},
+    {"breakpoints_rad": [[0.0], 1.0], "values": [1, 2]},
+    {"breakpoints_rad": [0.0, 1.0], "values": [float("nan"), 2]},
+    {"breakpoints_rad": [0.0, 1.0], "values": [float("inf"), 2]},
+])
+def test_non_numbers_in_input_are_clean_errors(runner, tmp_path, command, doc):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))    # writes NaN and Infinity as JSON extensions
+    args = [command, "--input", str(path)]
+    if command == "rearrange":
+        args += ["--out", str(tmp_path / "out.json")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "must be" in res.output
+
 def test_norm_malformed_input_fails(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -131,6 +149,16 @@ def test_equimeasurable_scaled_pair_false_exit_one(runner, tmp_path):
     assert res.output.strip() == "false"
 
 
+def test_equimeasurable_bad_tolerance_is_clean_error(runner, tmp_path):
+    fp = _write(tmp_path / "f.json", make_step([0.0, 1.0], [1.0, 2.0]))
+    for tol in ("-1", "nan"):
+        res = runner.invoke(main, ["equimeasurable", "--input", fp, "--input2", fp,
+                                   "--tol", tol])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: tol must be a nonnegative number" in res.output
+
+
 def test_counterexample_report_passes(runner):
     res = runner.invoke(main, ["counterexample", "--n", "300",
                                "--t-grid", "1e-2,1e-3"])
@@ -162,6 +190,13 @@ def test_counterexample_unreachable_tail_tol_is_clean_error(runner):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "Error: tail_tol=1e-17" in res.output
+
+def test_counterexample_subnormal_t_is_clean_error(runner):
+    # 1/t overflows for t = 5e-324
+    res = runner.invoke(main, ["counterexample", "--n", "120", "--t-grid", "5e-324"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: t must lie in (0, 1/16)" in res.output
 
 def test_counterexample_rejects_bad_eps(runner):
     res = runner.invoke(main, ["counterexample", "--eps", "0.25"])

@@ -229,8 +229,10 @@ def test_f_prefix_ratio_against_materialized_truncation():
     assert enc.lo > materialized
 
 def test_f_prefix_ratio_rejects_bad_inputs():
-    with pytest.raises(TOutOfRange):
-        f_prefix_ratio(PRM, 0.2, 1e-8)
+    # 1/t overflows for the last two
+    for t in (0.2, 5e-324, 1e-310):
+        with pytest.raises(TOutOfRange):
+            f_prefix_ratio(PRM, t, 1e-8)
     with pytest.raises(ValueError):
         f_prefix_ratio(PRM, 1e-3, 0.0)
 

@@ -162,6 +162,17 @@ def test_grid_search_result_consistency(rng):
         assert res.value == res.ratio_sup
         assert morrey_ratio(f, res.argmax, mp) == pytest.approx(res.ratio_sup, rel=1e-9)
 
+def test_grid_finds_arc_through_cut_carrying_all_mass():
+    # f vanishes only on [0, 1), so the best arc runs from 1 through the cut
+    # to 0; the prefix sums at its two ends are equal
+    f = make_step([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+    mp = MorreyParams(1.0, 0.5)
+    want = ((tau - 1.0) / tau) ** 0.5
+    assert morrey_norm_exact(f, mp).value == pytest.approx(want, rel=1e-15)
+    res = grid_search(f, mp, 4096)
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert res.argmax.start == 1.0
+
 def test_grid_nondecreasing_under_doubling(rng):
     for _ in range(5):
         f = random_step(rng)
