@@ -26,6 +26,7 @@ from .errors import (
     AngleOutOfRange,
     LengthMismatch,
     NonFiniteNumber,
+    POutOfRange,
     TolOutOfRange,
     UnsortedBreakpoints,
     ZeroMeasureArc,
@@ -65,11 +66,6 @@ class Arc:
     def measure(self):
         """Normalized measure, length / (2*pi), in (0, 1]."""
         return self.length / tau
-
-    @property
-    def end(self):
-        """Unwrapped end angle, start + length (may exceed pi)."""
-        return self.start + self.length
 
     @classmethod
     def from_endpoints(cls, start, end):
@@ -224,8 +220,8 @@ def integral_p(f, arc, p):
     the -pi/pi cut meet the translates.  The overlaps are taken over numpy
     arrays, and the products |value|^p * overlap are summed by fsum.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not (p >= 1 and math.isfinite(p)):
+        raise POutOfRange(f"p must satisfy 1 <= p < inf, got {p}")
     b0 = f.breakpoints[0]
     a = b0 + ((arc.start - b0) % tau)
     hi = a + arc.length

@@ -42,10 +42,10 @@ def _fmt(x):
 
 
 def _emit(text, out_path):
-    click.echo(text, nl=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    click.echo(text, nl=False)
 
 
 @click.group()
@@ -69,12 +69,12 @@ def norm(input_path, p, lam, method, refinement, out_path):
         params = MorreyParams(p, lam)
         res = (morrey_norm_exact(f, params) if method == "exact"
                else grid_search(f, params, refinement))
+        row = (res.value, res.ratio_sup, res.argmax.start, res.argmax.length)
+        text = "norm,ratio_sup,arc_start,arc_length\n"
+        text += ",".join(_fmt(x) for x in row) + "\n"
+        _emit(text, out_path)
     except (MorreyCircleError, OSError) as exc:
         raise click.ClickException(str(exc))
-    row = (res.value, res.ratio_sup, res.argmax.start, res.argmax.length)
-    text = "norm,ratio_sup,arc_start,arc_length\n"
-    text += ",".join(_fmt(x) for x in row) + "\n"
-    _emit(text, out_path)
 
 
 @main.command()
@@ -156,9 +156,9 @@ def counterexample(p, lam, eps, n_max, t_grid, tail_tol, out_path):
             sup = morrey_norm_exact(build_g(params, n), mp).ratio_sup
             ok = ok and sup <= gbound
             lines.append(f"{n}," + _fmt(sup) + "," + _fmt(gbound))
-    except (MorreyCircleError, ValueError) as exc:
+        _emit("\n".join(lines) + "\n", out_path)
+    except (MorreyCircleError, ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
-    _emit("\n".join(lines) + "\n", out_path)
     sys.exit(0 if ok else 1)
 
 

@@ -20,9 +20,9 @@ from math import tau
 
 import numpy as np
 
-from .circle_step import Arc, StepFunction, integral_p, wrap_angle
-from .errors import (LambdaOutOfRange, POutOfRange, RefinementOutOfRange,
-                     TOutOfRange, ZeroMeasureArc)
+from .circle_step import Arc, integral_p, wrap_angle
+from .errors import (LambdaOutOfRange, NonFiniteNumber, POutOfRange,
+                     RefinementOutOfRange, TOutOfRange, ZeroMeasureArc)
 
 MAX_REFINEMENT = 65536      # largest grid accepted by grid_search
 
@@ -60,13 +60,14 @@ def morrey_norm_exact(f, params):
     """Exact supremum of the Morrey ratio over all arcs, with a maximizer.
 
     Ties are broken by smallest arc length, then smallest start angle.
+    Raises NonFiniteNumber if the integral of |f|^p is not finite.
     """
     p, lam = params.p, params.lam
-    bps = np.asarray(f.breakpoints)
     lens = np.asarray(f.lengths)
-    dens = np.abs(np.asarray(f.values)) ** p
-    k = len(bps)
-    total = float(np.dot(dens, lens) / tau)
+    with np.errstate(over="ignore"):    # overflow shows in the total below
+        dens = np.abs(np.asarray(f.values)) ** p
+    k = len(lens)
+    total = _finite_total(float(np.dot(dens, lens) / tau))
     full = Arc(f.breakpoints[0], tau)
 
     if lam == 0.0:
@@ -78,33 +79,38 @@ def morrey_norm_exact(f, params):
     cl = np.concatenate(([0.0], np.cumsum(np.tile(lens, 2))))
 
     nz = np.flatnonzero(dens > 0.0)
-    best_r, best_len, best_start = total, tau, full.start
+    n = len(nz)
+    # ends[pos:pos + n] are the prefix indices just past the nonzero segments
+    # in circular order from nz[pos]: lengths increase along the slice, so
+    # argmax picks the shortest maximizing arc that starts there
+    ends = np.concatenate((nz, nz + k)) + 1
+    cm_end, ci_end = cm[ends], ci[ends]
+    # largest ratio, then shortest arc, then smallest start; a NaN ratio
+    # compares false, so its row never replaces the best
+    best = (-total, tau, full.start)
     for pos, qi in enumerate(nz):
-        # end segments in circular order from qi: lengths increase along
-        # the vector, so argmax picks the shortest maximizing arc
-        pj = np.concatenate((nz[pos:], nz[:pos] + k))
-        m = cm[pj + 1] - cm[qi]
-        integ = ci[pj + 1] - ci[qi]
-        r = integ / m ** lam
+        r = (ci_end[pos:pos + n] - ci[qi]) / (cm_end[pos:pos + n] - cm[qi]) ** lam
         jb = int(np.argmax(r))
-        rb = float(r[jb])
-        length = float(cl[pj[jb] + 1] - cl[qi])
-        start = float(bps[qi])
-        if (rb > best_r
-                or (rb == best_r and (length, start) < (best_len, best_start))):
-            best_r, best_len, best_start = rb, length, start
+        length = float(cl[ends[pos + jb]] - cl[qi])
+        best = min(best, (-float(r[jb]), length, f.breakpoints[qi]))
 
-    length = min(best_len, tau)
-    arc = full if length == tau else Arc(wrap_angle(best_start), length)
+    best_r, length = -best[0], min(best[1], tau)
+    arc = full if length == tau else Arc(wrap_angle(best[2]), length)
     return NormResult(best_r ** (1.0 / p), best_r, arc)
+
+
+def _finite_total(total):
+    if not math.isfinite(total):
+        raise NonFiniteNumber(f"integral of |f|^p over the circle is {total}")
+    return total
 
 
 def grid_search(f, params, refinement):
     """Best arc whose endpoints lie on breakpoints plus a uniform grid.
 
-    The pair matrix is scanned in blocks of about 2^20 elements (255 rows
-    at refinement 4096); the first maximum in row-major order wins, so the
-    result does not depend on the block size.
+    The arcs are scanned one start point at a time, as one vector over all
+    end points; the first maximum in (start, end) order wins.  Raises
+    NonFiniteNumber if the integral of |f|^p is not finite.
     """
     if not (2 <= refinement <= MAX_REFINEMENT):
         raise RefinementOutOfRange(
@@ -112,37 +118,30 @@ def grid_search(f, params, refinement):
         )
     p, lam = params.p, params.lam
     n = int(refinement)
-    pts = np.union1d(np.asarray(f.breakpoints), -math.pi + tau * np.arange(1, n + 1) / n)
-    pts = pts[(pts > -math.pi) & (pts <= math.pi)]
-    m_count = len(pts)
     bps = np.asarray(f.breakpoints)
+    pts = np.union1d(bps, -math.pi + tau * np.arange(1, n + 1) / n)
+    pts = pts[(pts > -math.pi) & (pts <= math.pi)]
     gaps = np.diff(np.concatenate((pts, [pts[0] + tau])))
     mids = pts + 0.5 * gaps
     mids = np.where(mids > math.pi, mids - tau, mids)
     idx = np.searchsorted(bps, mids, side="right") - 1
-    dens = np.abs(np.asarray(f.values)) ** p
-    gap_dens = dens[idx]
-    contrib = gap_dens * gaps / tau
-    total = float(np.sum(contrib))
-    pre = np.concatenate(([0.0], np.cumsum(contrib)))[:m_count]
+    with np.errstate(over="ignore"):    # overflow shows in the total below
+        dens = np.abs(np.asarray(f.values)) ** p
+    contrib = dens[idx] * gaps / tau
+    total = _finite_total(float(np.sum(contrib)))
+    pre = np.concatenate(([0.0], np.cumsum(contrib)))[:len(pts)]
 
-    block = max(1, (1 << 20) // m_count)
+    # the degenerate arc from a to a scores 0.0 / 1.0 ** lam, never above total
     best_r, best_a, best_b = total, None, None
-    for lo in range(0, m_count, block):
-        hi = min(lo + block, m_count)
-        ia = pre[lo:hi, None]
-        integ = pre[None, :] - ia
-        # arcs with end index below start index wrap past the cut
-        integ[np.tri(hi - lo, m_count, lo - 1, dtype=bool)] += total
-        meas = (pts[None, :] - pts[lo:hi, None]) / tau
+    for a in range(len(pts)):
+        integ = pre - pre[a]
+        integ[:a] += total      # end index below start index: the arc wraps
+        meas = (pts - pts[a]) / tau
         meas[meas <= 0] += 1.0
-        np.fill_diagonal(integ[:, lo:hi], 0.0)  # skip degenerate a == b arcs
-        np.fill_diagonal(meas[:, lo:hi], 1.0)
-        ratio = integ / meas ** lam if lam else integ
-        a_off, b = np.unravel_index(np.argmax(ratio), ratio.shape)
-        r = float(ratio[a_off, b])
-        if r > best_r:
-            best_r, best_a, best_b = r, lo + int(a_off), int(b)
+        ratio = integ / meas ** lam
+        b = int(np.argmax(ratio))
+        if ratio[b] > best_r:
+            best_r, best_a, best_b = float(ratio[b]), a, b
 
     if best_a is None:
         arc = Arc(f.breakpoints[0], tau)

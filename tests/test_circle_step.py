@@ -23,6 +23,7 @@ from morreycircle.errors import (
     AngleOutOfRange,
     LengthMismatch,
     NonFiniteNumber,
+    POutOfRange,
     TolOutOfRange,
     UnsortedBreakpoints,
 )
@@ -89,6 +90,12 @@ def test_integral_indicator_half_circle():
 
 def test_integral_constant_full_circle():
     assert integral_p(constant(3.0), Arc(0.0, tau), 1.0) == pytest.approx(3.0, rel=1e-14)
+
+def test_integral_rejects_p_outside_one_to_infinity():
+    f = make_step([0.0, 1.0], [1.0, 2.0])
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(POutOfRange):
+            integral_p(f, Arc(0.0, 1.0), p)
 
 def test_integral_counterexample_f_truncated_against_direct_sum():
     f = build_f(PRM, 100)

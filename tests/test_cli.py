@@ -99,6 +99,25 @@ def test_non_numbers_in_input_are_clean_errors(runner, tmp_path, command, doc):
     assert isinstance(res.exception, SystemExit)
     assert "must be" in res.output
 
+@pytest.mark.parametrize("method", ["exact", "grid"])
+def test_norm_overflowing_power_is_clean_error(runner, tmp_path, method):
+    # 1e200 is finite, but its 2.5-th power is not
+    path = _write(tmp_path / "big.json", make_step([0.0, 1.0], [1e200, 2.0]))
+    res = runner.invoke(main, ["norm", "--input", path, "--p", "2.5", "--method", method])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: integral of |f|^p over the circle is inf" in res.output
+
+def test_out_to_missing_directory_is_clean_error(runner, tmp_path):
+    path = _write(tmp_path / "c.json", make_step([0.0], [2.0]))
+    out = str(tmp_path / "missing" / "out.csv")
+    for args in (["norm", "--input", path],
+                 ["counterexample", "--n", "120", "--t-grid", "1e-2"]):
+        res = runner.invoke(main, args + ["--out", out])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: ")     # no report before the error
+
 def test_norm_malformed_input_fails(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

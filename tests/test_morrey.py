@@ -169,9 +169,33 @@ def test_grid_finds_arc_through_cut_carrying_all_mass():
     mp = MorreyParams(1.0, 0.5)
     want = ((tau - 1.0) / tau) ** 0.5
     assert morrey_norm_exact(f, mp).value == pytest.approx(want, rel=1e-15)
-    res = grid_search(f, mp, 4096)
-    assert res.value == pytest.approx(want, rel=1e-12)
-    assert res.argmax.start == 1.0
+    # at refinement 2 no grid point falls in [0, 1), so the arc ends on the
+    # point just before its start
+    for refinement in (2, 4096):
+        res = grid_search(f, mp, refinement)
+        assert res.value == pytest.approx(want, rel=1e-12)
+        assert res.argmax.start == 1.0
+
+def test_tied_blocks_go_to_the_smallest_start():
+    # the blocks [-2, -1) and [1, 2), and the arc [-2, 2) over both, tie bit
+    # for bit: in the exact scan, and in the grid at refinements 2 to 4
+    f = make_step([-2.0, -1.0, 1.0, 2.0], [1.0, 0.0, 1.0, 0.0])
+    mp = MorreyParams(1.0, 0.5)
+    res = morrey_norm_exact(f, mp)
+    assert (res.ratio_sup == morrey_ratio(f, Arc(1.0, 1.0), mp)
+            == morrey_ratio(f, Arc(-2.0, 4.0), mp))
+    assert res.argmax == Arc(-2.0, 1.0)
+    for refinement in (2, 3, 4):
+        assert grid_search(f, mp, refinement).argmax == Arc(-2.0, 1.0)
+
+def test_exact_tie_goes_to_the_shorter_arc_before_the_smaller_start():
+    # [-2, -1) at value 1 and [1, 1.25) at value 2 tie bit for bit
+    f = make_step([-2.0, -1.0, 1.0, 1.25], [1.0, 0.0, 2.0, 0.0])
+    mp = MorreyParams(1.0, 0.5)
+    res = morrey_norm_exact(f, mp)
+    assert (res.ratio_sup == morrey_ratio(f, Arc(-2.0, 1.0), mp)
+            == morrey_ratio(f, Arc(1.0, 0.25), mp))
+    assert res.argmax == Arc(1.0, 0.25)
 
 def test_grid_nondecreasing_under_doubling(rng):
     for _ in range(5):
