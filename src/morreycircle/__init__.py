@@ -24,7 +24,6 @@ _EXPORTS = {
     "counterexample": (
         "BoundedValue",
         "CounterexampleParams",
-        "IndexBounds",
         "arc_index_bounds",
         "build_f",
         "build_g",
@@ -32,7 +31,6 @@ _EXPORTS = {
         "f_prefix_ratio",
         "g_ratio_upper_bound",
         "gamma_arc",
-        "gamma_index_range",
         "measure_lower_bound_check",
         "phi",
         "phi_sup",
@@ -46,7 +44,6 @@ _EXPORTS = {
         "morrey_norm_exact",
         "morrey_norm_grid",
         "morrey_ratio",
-        "sup_over_prefix_arcs",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -10,7 +10,9 @@ Each segment also carries its angular length.  By default lengths are
 the breakpoint differences (each a single IEEE subtraction, hence
 correctly rounded); internal constructors may supply lengths that are
 consistent within one ulp, which lets distribution computations stay
-bit-for-bit stable under rotation and rearrangement.
+bit-for-bit stable under rotation and rearrangement.  Only that side
+reads them (distribution, rotation, rearrangement and io); integrals and
+Morrey suprema measure arcs by breakpoint gaps.
 """
 
 from __future__ import annotations
@@ -103,29 +105,6 @@ class StepFunction:
     def rotated(self, phi):
         """Rotate counterclockwise by ``phi``; segment lengths are kept."""
         return _circular([b + phi for b in self.breakpoints], self.values, self.lengths)
-
-    def canonicalize(self):
-        """Merge circularly adjacent segments carrying equal values."""
-        vals = self.values
-        k = len(vals)
-        if all(v == vals[0] for v in vals):
-            return StepFunction((self.breakpoints[0],), (vals[0],), (tau,))
-        pivot = next(i for i in range(k) if vals[i - 1] != vals[i])
-        order = list(range(pivot, k)) + list(range(pivot))
-        bps, out_vals, out_lens = [], [], []
-        run_lens = []
-        for idx in order:
-            v = vals[idx]
-            if out_vals and v == out_vals[-1]:
-                run_lens.append(self.lengths[idx])
-            else:
-                if run_lens:
-                    out_lens.append(fsum(run_lens))
-                run_lens = [self.lengths[idx]]
-                bps.append(self.breakpoints[idx])
-                out_vals.append(v)
-        out_lens.append(fsum(run_lens))
-        return StepFunction(tuple(bps), tuple(out_vals), tuple(out_lens))
 
 
 def _gap_lengths(breakpoints):

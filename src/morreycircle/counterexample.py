@@ -82,15 +82,6 @@ class BoundedValue:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class IndexBounds:
-    """Indices of the rightmost (n0) and leftmost (n1) block arcs
-    reachable by a test arc; raw, computed over all of N."""
-
-    n0: int
-    n1: int
-
-
 def _gamma_endpoints(n):
     gr = 1.0 / math.sqrt(n)
     gl = gr - 1.0 / (n * (n + 1))
@@ -149,10 +140,11 @@ def build_f(params, N):
 
 
 def arc_index_bounds(arc):
-    """Raw (n0, n1) index bounds for an arc inside (0, 1/4).
+    """Raw index bounds (n0, n1) for an arc inside (0, 1/4), over all n.
 
     n1 is the largest n with inf < 1/sqrt(n); n0 the smallest n whose
-    block-arc left endpoint lies below sup.
+    block-arc left endpoint lies below sup.  The arc meets a block arc
+    gamma_n (n >= 16) exactly when max(n0, 16) <= n1.
     """
     inf_t = arc.start
     sup_t = arc.start + arc.length
@@ -167,30 +159,14 @@ def arc_index_bounds(arc):
     while n1 > 1 and not inf_t < 1.0 / math.sqrt(n1):
         n1 -= 1
 
-    def h(n):
-        return 1.0 / math.sqrt(n) - 1.0 / (n * (n + 1))
-
-    # h is decreasing for n >= 2; sup < 1/4 keeps n0 well past the
-    # non-monotone head, but scan defensively
+    # the left endpoint gl_n is decreasing for n >= 2; sup < 1/4 keeps n0
+    # well past the non-monotone head, but scan defensively
     n0 = max(2, int(1.0 / sup_t ** 2) - 2)
-    while not sup_t > h(n0):
+    while not sup_t > _gamma_endpoints(n0)[0]:
         n0 += 1
-    while n0 > 2 and sup_t > h(n0 - 1):
+    while n0 > 2 and sup_t > _gamma_endpoints(n0 - 1)[0]:
         n0 -= 1
-    return IndexBounds(n0, n1)
-
-
-def gamma_index_range(arc):
-    """Clamped index range of block arcs actually met by the arc.
-
-    Returns IndexBounds over n >= 16, or None when the arc intersects
-    no block arc at all.
-    """
-    raw = arc_index_bounds(arc)
-    n0 = max(raw.n0, N_MIN)
-    if n0 > raw.n1:
-        return None
-    return IndexBounds(n0, raw.n1)
+    return n0, n1
 
 
 def divergence_lower_bound(params, t):
@@ -220,13 +196,14 @@ def f_prefix_ratio(params, t, tail_tol):
     + x^(-3-beta) (x >= 1) makes both integrals elementary.  M grows from
     n_b, predicted from the M^(-2-beta) decay of the bracket width.
 
-    Rounding (u = 2^-53, ``**`` assumed within 1 ulp, l = ln(M+1) bounding
-    the log of every base): exponents are within 4u, so with a rounded
-    base each power is within (5+4l)u and each summand within (8+4l)u;
-    the magnitudes total at most 17/16 S (the negative term is below
-    S/32), the partial block's cancellation adds 1.2uS and the two fsums
-    2u, so S is within (11.7+4.25l)u however long the head;
-    tau^(lam-1) t^(-lam) adds 8u, the last product and the widening 3u.
+    Rounding (u = 2^-53, ``**`` within 1 ulp as test_pow_within_one_ulp
+    checks against mpmath, l = ln(M+1) bounding the log of every base):
+    exponents are within 4u, so with a rounded base each power is within
+    (5+4l)u and each summand within (8+4l)u; the magnitudes total at most
+    17/16 S (the negative term is below S/32), the partial block's
+    cancellation adds 1.2uS and the two fsums 2u, so S is within
+    (11.7+4.25l)u however long the head; tau^(lam-1) t^(-lam) adds 8u,
+    the last product and the widening 3u.
     lo and hi are widened by (24+5l)u, which covers this and second-order
     terms.  A tail_tol below twice that relative width raises
     ToleranceUnreachable.
@@ -304,6 +281,6 @@ def measure_lower_bound_check(n0, n1):
     1/sqrt(n0) - 1/(n0(n0+1)) - 1/sqrt(n1) >= (1/sqrt(n0) - 1/sqrt(n1))/2."""
     if not (N_MIN <= n0 < n1):
         raise IndexOutOfRange(f"need 16 <= n0 < n1, got ({n0}, {n1})")
-    lhs = 1.0 / math.sqrt(n0) - 1.0 / (n0 * (n0 + 1)) - 1.0 / math.sqrt(n1)
-    rhs = 0.5 * (1.0 / math.sqrt(n0) - 1.0 / math.sqrt(n1))
-    return lhs >= rhs
+    gl0, gr0 = _gamma_endpoints(n0)
+    gr1 = _gamma_endpoints(n1)[1]
+    return gl0 - gr1 >= 0.5 * (gr0 - gr1)

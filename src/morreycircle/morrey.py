@@ -22,7 +22,7 @@ import numpy as np
 
 from .circle_step import Arc, integral_p, wrap_angle
 from .errors import (LambdaOutOfRange, NonFiniteNumber, POutOfRange,
-                     RefinementOutOfRange, TOutOfRange, ZeroMeasureArc)
+                     RefinementOutOfRange, ZeroMeasureArc)
 
 MAX_REFINEMENT = 65536      # largest grid accepted by grid_search
 
@@ -59,11 +59,15 @@ def morrey_ratio(f, arc, params):
 def morrey_norm_exact(f, params):
     """Exact supremum of the Morrey ratio over all arcs, with a maximizer.
 
+    Segments are measured by breakpoint gaps, as in integral_p and
+    grid_search, so morrey_ratio at the maximizer matches ratio_sup to
+    rounding.
     Ties are broken by smallest arc length, then smallest start angle.
     Raises NonFiniteNumber if the integral of |f|^p is not finite.
     """
     p, lam = params.p, params.lam
-    lens = np.asarray(f.lengths)
+    bps = np.asarray(f.breakpoints)
+    lens = np.diff(np.append(bps, bps[0] + tau)) if len(bps) > 1 else np.array([tau])
     with np.errstate(over="ignore"):    # overflow shows in the total below
         dens = np.abs(np.asarray(f.values)) ** p
     k = len(lens)
@@ -154,13 +158,3 @@ def morrey_norm_grid(f, params, refinement):
     """Grid-search lower bound on the Morrey norm, nondecreasing under
     grid refinement (for nested grids)."""
     return grid_search(f, params, refinement).value
-
-
-def sup_over_prefix_arcs(f, params, t_list):
-    """Morrey ratio on the prefix arcs (0, t), one row (t, ratio) per t."""
-    rows = []
-    for t in t_list:
-        if not (0.0 < t < math.pi):
-            raise TOutOfRange(f"t must lie in (0, pi), got {t}")
-        rows.append((t, morrey_ratio(f, Arc(0.0, t), params)))
-    return rows

@@ -260,18 +260,7 @@ def test_rearrangement_values_nonincreasing(rng):
         assert mags == sorted(mags, reverse=True)
 
 
-# --- canonicalize / rotate ---
-
-def test_canonicalize_merges_adjacent_equal_values():
-    f = make_step([-1.0, 0.0, 1.0, 2.0], [5.0, 5.0, 7.0, 5.0])
-    c = f.canonicalize()
-    assert c.num_segments == 2
-    assert set(c.values) == {5.0, 7.0}
-    assert math.fsum(c.lengths) == pytest.approx(tau, rel=1e-15)
-
-def test_canonicalize_constant_collapses():
-    f = make_step([-1.0, 0.0, 1.0], [4.0, 4.0, 4.0])
-    assert f.canonicalize().num_segments == 1
+# --- rotate ---
 
 def test_rotate_round_trip(rng):
     f = random_step(rng)

@@ -6,6 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import morreycircle
 import morreycircle.cli as cli
 from morreycircle import (
     BoundedValue,
@@ -267,6 +268,14 @@ def test_cli_loads_numpy_with_one_blas_thread():
     # the package alone imports no numpy, so the CLI can set the BLAS thread
     # count before numpy loads; an explicit setting in the environment wins
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(morreycircle.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     assert _fresh_import_probe(env) == ["False", "1"]
     env["OPENBLAS_NUM_THREADS"] = "2"
     assert _fresh_import_probe(env) == ["False", "2"]
+
+
+def test_every_exported_name_resolves():
+    # names load lazily, so a stale entry would fail only when first used
+    for name in morreycircle.__all__:
+        assert getattr(morreycircle, name).__name__ == name

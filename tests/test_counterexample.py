@@ -17,7 +17,6 @@ from morreycircle import (
     f_prefix_ratio,
     g_ratio_upper_bound,
     gamma_arc,
-    gamma_index_range,
     integral_p,
     measure_lower_bound_check,
     morrey_norm_exact,
@@ -133,7 +132,7 @@ def test_arc_index_bounds_example():
     assert 0.15 < 1.0 / math.sqrt(44) and not 0.15 < 1.0 / math.sqrt(45)
     h = lambda n: 1.0 / math.sqrt(n) - 1.0 / (n * (n + 1))
     assert 0.2 > h(25) and not 0.2 > h(24)
-    assert (res.n0, res.n1) == (25, 44)
+    assert res == (25, 44)
 
 def test_arc_index_bounds_brute_force(rng):
     h = lambda n: 1.0 / math.sqrt(n) - 1.0 / (n * (n + 1))
@@ -143,21 +142,20 @@ def test_arc_index_bounds_brute_force(rng):
         res = arc_index_bounds(Arc(lo, hi - lo))
         n1_oracle = max(n for n in range(1, int(1 / lo ** 2) + 3) if lo < 1 / math.sqrt(n))
         n0_oracle = min(n for n in range(1, int(1 / hi ** 2) + 10) if hi > h(n))
-        assert (res.n0, res.n1) == (n0_oracle, n1_oracle)
+        assert res == (n0_oracle, n1_oracle)
 
 def test_arc_exactly_one_gamma_gives_equal_indices():
     for n in (16, 40, 123, 999):
-        a = gamma_arc(n)
-        res = arc_index_bounds(a)
-        assert (res.n0, res.n1) == (n, n)
-        clamped = gamma_index_range(a)
-        assert (clamped.n0, clamped.n1) == (n, n)
+        n0, n1 = arc_index_bounds(gamma_arc(n))
+        assert (n0, n1) == (n, n)
+        assert (max(n0, 16), n1) == (n, n)
 
 def test_arc_in_gap_meets_no_gamma():
     g17, g16 = gamma_arc(17), gamma_arc(16)
     lo = g17.start + g17.length + 1e-6
     hi = g16.start - 1e-6
-    assert gamma_index_range(Arc(lo, hi - lo)) is None
+    n0, n1 = arc_index_bounds(Arc(lo, hi - lo))
+    assert max(n0, 16) > n1
 
 def test_index_order_when_gamma_met(rng):
     for _ in range(50):
@@ -165,8 +163,8 @@ def test_index_order_when_gamma_met(rng):
         a = gamma_arc(n)
         lo = max(1e-4, a.start - rng.uniform(0, 0.01))
         hi = min(0.25, a.start + a.length + rng.uniform(0, 0.01))
-        res = arc_index_bounds(Arc(lo, hi - lo))
-        assert res.n0 <= res.n1
+        n0, n1 = arc_index_bounds(Arc(lo, hi - lo))
+        assert n0 <= n1
 
 def test_arc_outside_domain_rejected():
     with pytest.raises(ArcOutsideDomain):
@@ -266,6 +264,22 @@ def test_f_prefix_ratio_contains_zeta_oracle(lam, eps, t):
     truth = _prefix_ratio_oracle(lam, eps, t)
     assert enc.lo <= truth <= enc.hi
     assert enc.width <= 1e-8 * enc.lo
+
+@pytest.mark.parametrize("lam,eps", [(0.5, 0.2), (0.3, 0.05), (0.9, 0.04)])
+def test_pow_within_one_ulp(lam, eps):
+    # f_prefix_ratio's rounding bound assumes the platform's ** is within
+    # 1 ulp; sample the powers it evaluates against 50-digit mpmath values
+    a, beta = 1.0 - lam + eps, lam - eps
+    exponents = (-beta, -1 - beta, -2 - beta, a, lam - 1.0, -lam)
+    bases = [tau, *(10.0 ** np.random.default_rng(7).uniform(-8.0, 9.0, 300)).tolist()]
+    worst = 0.0
+    with mpmath.workdps(50):
+        for x in bases:
+            for e in exponents:
+                got = x ** e
+                exact = mpmath.mpf(x) ** mpmath.mpf(e)
+                worst = max(worst, float(abs(mpmath.mpf(got) - exact)) / math.ulp(got))
+    assert worst <= 1.0
 
 
 # --- phi and the boundedness of g ---

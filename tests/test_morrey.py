@@ -14,7 +14,6 @@ from morreycircle import (
     morrey_norm_exact,
     morrey_norm_grid,
     morrey_ratio,
-    sup_over_prefix_arcs,
     validate_params,
     build_f,
     build_g,
@@ -24,7 +23,7 @@ from morreycircle.errors import (
     LambdaOutOfRange,
     POutOfRange,
     RefinementOutOfRange,
-    TOutOfRange,
+    ZeroMeasureArc,
 )
 from morreycircle.morrey import MAX_REFINEMENT
 
@@ -88,6 +87,15 @@ def test_norm_result_consistency(rng):
         if res.ratio_sup > 0:
             r = morrey_ratio(f, res.argmax, mp)
             assert r == pytest.approx(res.ratio_sup, rel=1e-10)
+
+@pytest.mark.parametrize("phi", [0.0, 2.9, -1.3, 0.7])
+def test_exact_argmax_ratio_matches_sup_on_rotated_g(phi):
+    # rotation keeps the stored lengths but rounds the breakpoints; the scan
+    # measures breakpoint gaps, as morrey_ratio does, so the two agree
+    mp = MorreyParams(1.0, 0.5)
+    g = build_g(validate_params(1.0, 0.5, 0.2), 10 ** 4).rotated(phi)
+    res = morrey_norm_exact(g, mp)
+    assert morrey_ratio(g, res.argmax, mp) == pytest.approx(res.ratio_sup, rel=1e-13)
 
 def test_norm_homogeneity(rng):
     for _ in range(25):
@@ -227,21 +235,21 @@ def test_grid_cross_check_counterexample_g():
 # --- prefix arcs ---
 
 def test_prefix_arcs_constant():
-    rows = sup_over_prefix_arcs(constant(1.0), MorreyParams(1.0, 0.5), [0.1, 0.5, 1.0])
-    for t, ratio in rows:
+    for t in (0.1, 0.5, 1.0):
+        ratio = morrey_ratio(constant(1.0), Arc(0.0, t), MorreyParams(1.0, 0.5))
         assert ratio == pytest.approx((t / tau) ** 0.5, rel=1e-12)
 
 def test_prefix_arcs_zero_function():
-    rows = sup_over_prefix_arcs(constant(0.0), MorreyParams(1.0, 0.5), [0.1, 1.0])
-    assert all(r == 0.0 for _, r in rows)
+    for t in (0.1, 1.0):
+        assert morrey_ratio(constant(0.0), Arc(0.0, t), MorreyParams(1.0, 0.5)) == 0.0
 
 def test_prefix_arcs_rejects_bad_t():
-    with pytest.raises(TOutOfRange):
-        sup_over_prefix_arcs(constant(1.0), MorreyParams(1.0, 0.5), [0.0])
+    with pytest.raises(ZeroMeasureArc):
+        morrey_ratio(constant(1.0), Arc(0.0, 0.0), MorreyParams(1.0, 0.5))
 
 def test_prefix_arc_counterexample_f_reaches_divergence_bound():
     prm = validate_params(1.0, 0.5, 0.2)
     f = build_f(prm, 10 ** 5)
     t = 1e-3
-    [(_, ratio)] = sup_over_prefix_arcs(f, MorreyParams(1.0, 0.5), [t])
+    ratio = morrey_ratio(f, Arc(0.0, t), MorreyParams(1.0, 0.5))
     assert ratio >= 0.8186 * t ** (-0.2)
