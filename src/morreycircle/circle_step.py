@@ -198,6 +198,7 @@ def integral_p(f, arc, p):
     together with its 2*pi translate, is overlapped with it; arcs through
     the -pi/pi cut meet the translates.  The overlaps are taken over numpy
     arrays, and the products |value|^p * overlap are summed by fsum.
+    Raises NonFiniteNumber if |value|^p overflows on a segment the arc meets.
     """
     if not (p >= 1 and math.isfinite(p)):
         raise POutOfRange(f"p must satisfy 1 <= p < inf, got {p}")
@@ -209,7 +210,12 @@ def integral_p(f, arc, p):
     ov = (np.maximum(0.0, np.minimum(ends, hi) - np.maximum(starts, a))
           + np.maximum(0.0, np.minimum(ends + tau, hi) - np.maximum(starts + tau, a)))
     hit = ov > 0.0
-    return fsum((np.abs(np.asarray(f.values)[hit]) ** p * ov[hit]).tolist()) / tau
+    with np.errstate(over="ignore"):    # overflow shows in the sum below
+        terms = np.abs(np.asarray(f.values)[hit]) ** p * ov[hit]
+    s = fsum(terms.tolist())
+    if not math.isfinite(s):
+        raise NonFiniteNumber(f"integral of |f|^p over the arc is {s}")
+    return s / tau
 
 
 @dataclass(frozen=True)

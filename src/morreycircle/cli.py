@@ -135,6 +135,8 @@ def counterexample(p, lam, eps, n_max, t_grid, tail_tol, out_path):
     try:
         params = validate_params(p, lam, eps)
         ts = [float(s) for s in t_grid.split(",") if s.strip()]
+        if not ts:
+            raise click.ClickException("--t-grid names no prefix-arc length")
         f = build_f(params, n_max)
         g = build_g(params, n_max)
         verdict = eq_check(f, g, 0.0)
@@ -150,10 +152,11 @@ def counterexample(p, lam, eps, n_max, t_grid, tail_tol, out_path):
         lines.append("")
 
         gbound = g_ratio_upper_bound(params)
-        mp = MorreyParams(params.p, params.lam)
         lines.append("N,g_ratio_sup,g_upper_bound")
+        # the schedule ends at n_max, whose g is already built
         for n in _n_schedule(n_max):
-            sup = morrey_norm_exact(build_g(params, n), mp).ratio_sup
+            gn = g if n == n_max else build_g(params, n)
+            sup = morrey_norm_exact(gn, params).ratio_sup
             ok = ok and sup <= gbound
             lines.append(f"{n}," + _fmt(sup) + "," + _fmt(gbound))
         _emit("\n".join(lines) + "\n", out_path)

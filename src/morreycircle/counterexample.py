@@ -1,17 +1,13 @@
 """The equimeasurable pair (f, g) separating membership in the Morrey space.
 
-f stacks the blocks n^((1-lam+eps)/p) on consecutive intervals just
-right of angle 0, so prefix arcs (0, t) see a ratio growing like
-t^(-eps); g carries the same blocks on the short, well-separated arcs
-gamma_n near 1/sqrt(n), which keeps its ratio uniformly bounded.  Both
-functions use blocks n = 16..N; analytic evaluators with certified tail
-enclosures cover statements about the untruncated f.
-
-Floating-point layout: the canonical angular length of block n is
-ell_n = gr_n - gl_n where gr_n = fl(1/sqrt(n)) and gl_n = fl(gr_n -
-fl(1/(n*(n+1)))).  f tiles these exact lengths downward from 1/16, so
-both functions recover identical per-block lengths from breakpoint
-differences and compare equimeasurable at tolerance 0.
+g carries the blocks n^((1-lam+eps)/p) on the short, well-separated arcs
+gamma_n near 1/sqrt(n), which keeps its ratio uniformly bounded.  f is
+g's decreasing rearrangement turned to end at 1/16: the same blocks on
+consecutive intervals near (1/(n+1), 1/n), so prefix arcs (0, t) see a
+ratio growing like t^(-eps).  Rearrangement and rotation carry g's
+segment lengths unchanged, so the two compare equimeasurable at
+tolerance 0.  Both functions use blocks n = 16..N; analytic evaluators
+with certified tail enclosures cover statements about the untruncated f.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ import math
 from dataclasses import dataclass
 from math import fsum, tau
 
-from .circle_step import Arc, make_step
+from .circle_step import Arc, decreasing_rearrangement, make_step
 from .errors import (
     ArcOutsideDomain,
     EpsOutOfRange,
@@ -28,27 +24,24 @@ from .errors import (
     LambdaOutOfRange,
     NTooSmall,
     OverlapDetected,
-    POutOfRange,
     TOutOfRange,
     ToleranceUnreachable,
     YOutOfRange,
 )
+from .morrey import MorreyParams
 
 N_MIN = 16
 
 
 @dataclass(frozen=True)
-class CounterexampleParams:
-    """(p, lam, eps) with 0 < eps < min(lam/2, 1 - lam)."""
+class CounterexampleParams(MorreyParams):
+    """(p, lam, eps) with 0 < lam < 1 and 0 < eps < min(lam/2, 1 - lam)."""
 
-    p: float
-    lam: float
     eps: float
 
     def __post_init__(self):
-        if not (self.p >= 1 and math.isfinite(self.p)):
-            raise POutOfRange(f"p must satisfy 1 <= p < inf, got {self.p}")
-        if not (0.0 < self.lam < 1.0):
+        super().__post_init__()
+        if not self.lam > 0.0:
             raise LambdaOutOfRange(f"lambda must lie in (0, 1), got {self.lam}")
         cap = min(self.lam / 2.0, 1.0 - self.lam)
         if not (0.0 < self.eps < cap):
@@ -114,29 +107,15 @@ def build_g(params, N):
 
 
 def build_f(params, N):
-    """Step function stacking the same blocks contiguously below 1/16.
+    """g's decreasing rearrangement, turned to end at 1/16.
 
-    Block n sits on (r - ell_n, r) where r tiles downward from 1/16 and
-    ell_n is the canonical block length; the breakpoints agree with the
-    ideal 1/(n+1), 1/n to within ~1e-13 while the recovered lengths
-    match g's exactly.
+    The blocks stand in decreasing order on consecutive intervals whose
+    breakpoints lie within rounding of the ideal 1/(n+1), 1/n; the top
+    one is exactly 1/16.  Rearrangement and rotation keep g's segment
+    lengths, so f's lengths are g's.
     """
-    if N < N_MIN:
-        raise NTooSmall(f"N must be >= {N_MIN}, got {N}")
-    alpha = params.alpha
-    rights = []
-    r = 1.0 / 16.0
-    for n in range(N_MIN, N + 1):
-        gl, gr = _gamma_endpoints(n)
-        ell = gr - gl
-        left = r - ell
-        if r - left != ell:
-            raise OverlapDetected(f"length tiling lost exactness at n={n}")
-        rights.append(r)
-        r = left
-    bps = [r] + rights[::-1]
-    vals = [float(n) ** alpha for n in range(N, N_MIN - 1, -1)] + [0.0]
-    return make_step(bps, vals)
+    g_star = decreasing_rearrangement(build_g(params, N))
+    return g_star.rotated(1.0 / 16.0 - g_star.breakpoints[-1])
 
 
 def arc_index_bounds(arc):

@@ -20,7 +20,7 @@ from math import tau
 
 import numpy as np
 
-from .circle_step import Arc, integral_p, wrap_angle
+from .circle_step import Arc, integral_p
 from .errors import (LambdaOutOfRange, NonFiniteNumber, POutOfRange,
                      RefinementOutOfRange, ZeroMeasureArc)
 
@@ -72,34 +72,32 @@ def morrey_norm_exact(f, params):
         dens = np.abs(np.asarray(f.values)) ** p
     k = len(lens)
     total = _finite_total(float(np.dot(dens, lens) / tau))
-    full = Arc(f.breakpoints[0], tau)
 
     if lam == 0.0:
-        return NormResult(total ** (1.0 / p), total, full)
+        return NormResult(total ** (1.0 / p), total, Arc(f.breakpoints[0], tau))
 
     meas = lens / tau
     cm = np.concatenate(([0.0], np.cumsum(np.tile(meas, 2))))
     ci = np.concatenate(([0.0], np.cumsum(np.tile(dens * meas, 2))))
-    cl = np.concatenate(([0.0], np.cumsum(np.tile(lens, 2))))
 
     nz = np.flatnonzero(dens > 0.0)
     n = len(nz)
     # ends[pos:pos + n] are the prefix indices just past the nonzero segments
-    # in circular order from nz[pos]: lengths increase along the slice, so
+    # in circular order from nz[pos]: measures increase along the slice, so
     # argmax picks the shortest maximizing arc that starts there
     ends = np.concatenate((nz, nz + k)) + 1
     cm_end, ci_end = cm[ends], ci[ends]
-    # largest ratio, then shortest arc, then smallest start; a NaN ratio
-    # compares false, so its row never replaces the best
-    best = (-total, tau, full.start)
+    # largest ratio, then smallest measure, then smallest start, seeded with
+    # the full circle; a NaN ratio compares false, so its row never wins
+    best = (-total, 1.0, 0, k)
     for pos, qi in enumerate(nz):
-        r = (ci_end[pos:pos + n] - ci[qi]) / (cm_end[pos:pos + n] - cm[qi]) ** lam
+        m = cm_end[pos:pos + n] - cm[qi]
+        r = (ci_end[pos:pos + n] - ci[qi]) / m ** lam
         jb = int(np.argmax(r))
-        length = float(cl[ends[pos + jb]] - cl[qi])
-        best = min(best, (-float(r[jb]), length, f.breakpoints[qi]))
+        best = min(best, (-float(r[jb]), float(m[jb]), int(qi), int(ends[pos + jb])))
 
-    best_r, length = -best[0], min(best[1], tau)
-    arc = full if length == tau else Arc(wrap_angle(best[2]), length)
+    best_r, i, j = -best[0], best[2], best[3]
+    arc = Arc.from_endpoints(f.breakpoints[i], f.breakpoints[j % k])
     return NormResult(best_r ** (1.0 / p), best_r, arc)
 
 

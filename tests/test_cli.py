@@ -218,6 +218,14 @@ def test_counterexample_subnormal_t_is_clean_error(runner):
     assert isinstance(res.exception, SystemExit)
     assert "Error: t must lie in (0, 1/16)" in res.output
 
+def test_counterexample_empty_t_grid_is_clean_error(runner):
+    # with no t there is no enclosure, so divergence is not certified
+    for t_grid in (",", ""):
+        res = runner.invoke(main, ["counterexample", "--n", "120", "--t-grid", t_grid])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: --t-grid" in res.output
+
 def test_counterexample_rejects_bad_eps(runner):
     res = runner.invoke(main, ["counterexample", "--eps", "0.25"])
     assert res.exit_code != 0

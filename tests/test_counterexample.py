@@ -44,6 +44,7 @@ PRM = validate_params(1.0, 0.5, 0.2)
 def test_validate_params_accepts_reference_values():
     prm = validate_params(1.0, 0.5, 0.2)
     assert prm.alpha == pytest.approx(0.7, rel=1e-15)
+    assert isinstance(prm, MorreyParams)
 
 def test_validate_params_eps_at_half_lambda_rejected():
     with pytest.raises(EpsOutOfRange):
@@ -76,12 +77,15 @@ def test_build_f_rejects_small_n():
         build_f(PRM, 8)
 
 def test_build_f_breakpoints_near_ideal():
-    f = build_f(PRM, 1000)
-    # tiled breakpoints track 1/(n+1), 1/n to well below any tolerance used
-    bps = f.breakpoints
-    ideal = [1.0 / 1001] + [1.0 / n for n in range(1000, 15, -1)]
-    for got, want in zip(bps, ideal):
-        assert got == pytest.approx(want, abs=1e-12)
+    for n_top in (1000, 30000):
+        # the rearranged breakpoints track 1/(n+1), 1/n to well below any
+        # tolerance used, and the top one is 1/16 exactly
+        bps = build_f(PRM, n_top).breakpoints
+        ideal = [1.0 / (n_top + 1)] + [1.0 / n for n in range(n_top, 15, -1)]
+        assert len(bps) == len(ideal)
+        for got, want in zip(bps, ideal):
+            assert got == pytest.approx(want, abs=1e-12)
+        assert bps[-1] == 1.0 / 16.0
 
 def test_build_g_first_block():
     g = build_g(PRM, 16)
@@ -113,7 +117,7 @@ def test_gamma_arcs_pairwise_disjoint_up_to_1e4():
     assert np.all(right_next < left)
 
 def test_f_g_equimeasurable_for_various_n():
-    for n in (16, 33, 250, 5000):
+    for n in (16, 33, 250, 5000, 30000):
         assert equimeasurable(build_f(PRM, n), build_g(PRM, n), 0.0)
 
 def test_f_lengths_match_g_lengths_exactly():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from math import pi, tau
 
 import numpy as np
@@ -21,6 +22,7 @@ from morreycircle import (
 )
 from morreycircle.errors import (
     LambdaOutOfRange,
+    NonFiniteNumber,
     POutOfRange,
     RefinementOutOfRange,
     ZeroMeasureArc,
@@ -58,6 +60,17 @@ def test_ratio_indicator_on_itself():
     a = Arc(0.0, tau / 4)
     r = morrey_ratio(indicator(a), a, MorreyParams(1.0, 0.5))
     assert r == pytest.approx(0.5, rel=1e-14)
+
+def test_ratio_overflowing_power_raises_without_warning():
+    # 1e200 is finite, but its 2.5-th power is not; the second arc misses it
+    f = make_step([0.0, 1.0], [1e200, 2.0])
+    mp = MorreyParams(2.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteNumber):
+            morrey_ratio(f, Arc(0.0, 0.5), mp)
+        r = morrey_ratio(f, Arc(1.5, 0.5), mp)
+    assert r == pytest.approx(2.0 ** 2.5 * (0.5 / tau) ** 0.5, rel=1e-14)
 
 
 # --- exact norm ---
