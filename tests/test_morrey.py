@@ -30,6 +30,7 @@ from morreycircle.errors import (
 from morreycircle.morrey import MAX_REFINEMENT
 
 from conftest import random_step
+from references import exact_scan, grid_scan
 
 
 def test_params_validation():
@@ -217,6 +218,102 @@ def test_exact_tie_goes_to_the_shorter_arc_before_the_smaller_start():
     assert (res.ratio_sup == morrey_ratio(f, Arc(-2.0, 1.0), mp)
             == morrey_ratio(f, Arc(1.0, 0.25), mp))
     assert res.argmax == Arc(1.0, 0.25)
+
+def test_whole_circle_is_reported_from_the_first_breakpoint():
+    # with no zero segment every circular run of all segments is the whole
+    # circle; only the seed stands for it, and -pi wraps to pi
+    f = make_step([-pi, 0.0], [1.0, 1.0])
+    for lam in (0.0, 0.1):
+        res = morrey_norm_exact(f, MorreyParams(1.0, lam))
+        assert res.ratio_sup == 1.0
+        assert res.argmax == Arc(pi, tau)
+
+
+# --- the tiled scans against plain per-start references ---
+
+def _step_with_tiny_segment(rng, k):
+    bps = np.sort(rng.uniform(-pi, pi, size=k))
+    i = int(rng.integers(0, k - 1))
+    bps[i + 1] = np.nextafter(bps[i], pi) if rng.random() < 0.5 else bps[i] + 1e-13
+    bps = np.unique(bps)
+    vals = rng.uniform(0.0, 10.0, size=len(bps))
+    vals[rng.random(size=len(bps)) < 0.3] = 0.0
+    return make_step(bps, vals)
+
+
+def test_exact_scan_matches_per_start_reference(rng):
+    fixtures = [
+        constant(0.0), constant(2.5),
+        make_step([-2.0, -1.0, 1.0, 2.0], [1.0, 0.0, 1.0, 0.0]),
+        make_step([-2.0, -1.0, 1.0, 1.25], [1.0, 0.0, 2.0, 0.0]),
+        # the one-segment arc at 1.0 rounds to 0 / 0, which drops its row
+        make_step([-3.0, 1.0, np.nextafter(1.0, 2.0), 2.0], [3.0, 1.0, 0.0, 2.0]),
+    ]
+    cases = fixtures + [random_step(rng, max_segments=40) for _ in range(250)]
+    # up to four tiles of starts, and values rounded to force ties
+    cases += [random_step(rng, max_segments=250) for _ in range(40)]
+    cases += [make_step(f.breakpoints, np.round(f.values).tolist())
+              for f in (random_step(rng, max_segments=150) for _ in range(40))]
+    cases += [_step_with_tiny_segment(rng, int(rng.integers(3, 100))) for _ in range(40)]
+    for c, f in enumerate(cases):
+        mp = MorreyParams((1.0, 2.5)[c % 2], (0.1, 0.5, 0.9, 0.0)[c % 4])
+        assert morrey_norm_exact(f, mp) == exact_scan(f, mp), (c, f)
+
+
+def test_exact_scan_finds_a_short_heavy_segment_inside_a_tile():
+    # a tile next to the diagonal bounds its measures by the shortest
+    # one-segment arc of any of its starts: here that arc is the heavy spike
+    # in the middle of the first tile, while the second tile's last start
+    # is a lighter spike that is evaluated first
+    bps = np.linspace(-3.0, 3.0, 129)[:-1].tolist()
+    vals = [1e-6] * 128
+    for i, v in ((10, 1e4), (127, 1e3)):
+        bps.insert(i + 1, bps[i] + 1e-6)
+        vals.insert(i + 1, 1e-6)
+        vals[i] = v
+    f = make_step(bps, vals)
+    mp = MorreyParams(1.0, 0.5)
+    res = morrey_norm_exact(f, mp)
+    assert res == exact_scan(f, mp)
+    assert res.argmax.start == bps[10]
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_exact_scan_matches_reference_on_g(n):
+    g = build_g(validate_params(1.0, 0.5, 0.2), n)
+    for h in (g, g.rotated(2.9)):
+        for lam in (0.5, 0.3):
+            mp = MorreyParams(1.0, lam)
+            assert morrey_norm_exact(h, mp) == exact_scan(h, mp)
+
+
+def test_exact_scan_evaluates_few_pairs_on_g():
+    # a work count, identical on every host: under 2% of the nnz^2 pairs a
+    # per-start scan computes
+    g = build_g(validate_params(1.0, 0.5, 0.2), 30_000)
+    nnz = sum(1 for v in g.values if v != 0.0)
+    res = morrey_norm_exact(g, MorreyParams(1.0, 0.5))
+    assert 0 < res.pairs < 0.02 * nnz * nnz
+
+
+def test_grid_scan_matches_per_start_reference(rng):
+    for refinement in range(2, 65):
+        f = random_step(rng, value_lo=0.0)
+        mp = MorreyParams((1.0, 2.0)[refinement % 2], (0.5, 0.1, 0.9, 0.0)[refinement % 4])
+        assert grid_search(f, mp, refinement) == grid_scan(f, mp, refinement), refinement
+    for _ in range(3):
+        f = random_step(rng, value_lo=0.0, value_hi=10.0)
+        mp = MorreyParams(1.0, 0.5)
+        assert grid_search(f, mp, 4096) == grid_scan(f, mp, 4096)
+
+
+def test_grid_seed_wins_ties_without_evaluating_them():
+    # every ratio of the zero function ties the full circle, which wins
+    mp = MorreyParams(1.0, 0.5)
+    res = grid_search(constant(0.0), mp, 4096)
+    assert res == grid_scan(constant(0.0), mp, 4096)
+    assert res.pairs == 0
+
 
 def test_grid_nondecreasing_under_doubling(rng):
     for _ in range(5):
