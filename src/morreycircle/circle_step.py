@@ -2,24 +2,23 @@
 
 Angles live in (-pi, pi]; the circle carries the normalized Lebesgue
 measure m (arc length / 2*pi, so m of the whole circle is 1).  A step
-function is a strictly increasing list of breakpoints plus one value per
-circular gap: ``values[i]`` is taken on the arc from ``breakpoints[i]``
-to the next breakpoint (wrapping past the cut for the last one).
+function holds three read-only 1-D float64 numpy arrays of one length:
+strictly increasing ``breakpoints``; ``values``, where ``values[i]`` is
+taken on the arc from ``breakpoints[i]`` to the next breakpoint (wrapping
+past the cut for the last one); and the segments' angular ``lengths``.
 
-Each segment also carries its angular length.  By default lengths are
-the breakpoint differences (each a single IEEE subtraction, hence
-correctly rounded); internal constructors may supply lengths that are
-consistent within one ulp, which lets distribution computations stay
-bit-for-bit stable under rotation and rearrangement.  Only that side
-reads them (distribution, rotation, rearrangement and io); integrals and
-Morrey suprema measure arcs by breakpoint gaps.
+By default lengths are the breakpoint differences (each a single IEEE
+subtraction, hence correctly rounded); internal constructors may supply
+lengths that are consistent within one ulp, which lets distribution
+computations stay bit-for-bit stable under rotation and rearrangement.
+Only that side reads them (distribution, rotation, rearrangement and
+io); integrals and Morrey suprema measure arcs by breakpoint gaps.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from math import fsum, tau
 
 import numpy as np
@@ -78,17 +77,27 @@ class Arc:
         return cls(wrap_angle(start), length)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
-    """Piecewise-constant real function on the circle."""
+    """Piecewise-constant real function on the circle.  Inputs are converted
+    to float64, and copied unless they are read-only float64 arrays."""
 
-    breakpoints: tuple
-    values: tuple
-    lengths: tuple = field(default=())
+    breakpoints: np.ndarray
+    values: np.ndarray
+    lengths: np.ndarray = None
 
     def __post_init__(self):
-        if not self.lengths:
-            object.__setattr__(self, "lengths", _gap_lengths(self.breakpoints))
+        lengths = _gap_lengths(self.breakpoints) if self.lengths is None else self.lengths
+        for fld, x in zip(fields(self), (self.breakpoints, self.values, lengths)):
+            if not (isinstance(x, np.ndarray) and x.dtype == np.float64
+                    and not x.flags.writeable):
+                x = np.array(x, dtype=np.float64)
+                x.flags.writeable = False
+            object.__setattr__(self, fld.name, x)
+
+    def __eq__(self, other):
+        return isinstance(other, StepFunction) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def num_segments(self):
@@ -96,49 +105,52 @@ class StepFunction:
 
     def value_at(self, theta):
         """Value on the segment containing ``theta`` (endpoints go left)."""
-        theta = wrap_angle(theta)
-        i = bisect_right(self.breakpoints, theta) - 1
-        if i < 0:
-            i = len(self.breakpoints) - 1
-        return self.values[i]
+        # index -1, before the first breakpoint, is the segment past the cut
+        i = np.searchsorted(self.breakpoints, wrap_angle(theta), side="right") - 1
+        return float(self.values[i])
 
     def rotated(self, phi):
         """Rotate counterclockwise by ``phi``; segment lengths are kept."""
-        return _circular([b + phi for b in self.breakpoints], self.values, self.lengths)
+        return _circular(self.breakpoints + phi, self.values, self.lengths)
 
 
-def _gap_lengths(breakpoints):
-    k = len(breakpoints)
-    if k == 1:
-        return (tau,)
-    out = [breakpoints[i + 1] - breakpoints[i] for i in range(k - 1)]
-    out.append(breakpoints[0] + tau - breakpoints[k - 1])
-    return tuple(out)
+def _gap_lengths(bps):
+    return np.append(np.diff(bps), bps[0] + tau - bps[-1]) if len(bps) > 1 else [tau]
 
 
 def _circular(angles, values, lengths):
     """StepFunction from segments listed in circular order from any start.
 
-    Each angle is wrapped into (-pi, pi], and all three sequences are
-    rotated so that the smallest angle comes first.
+    Each angle is wrapped into (-pi, pi], and all three arrays are rotated
+    so that the smallest angle comes first.  The wrap equals wrap_angle's:
+    np.fmod(x, tau) is exact, in (-tau, tau) with the sign of x; w > pi
+    becomes w - tau and w <= -pi becomes w + tau, exact by Sterbenz's lemma
+    (tau/2 <= |w| < tau).  So both give the one x - n*tau (n an integer)
+    in (-pi, pi], as remainder is exact too, and a zero has x's sign.
     """
-    wrapped = [wrap_angle(b) for b in angles]
-    i = wrapped.index(min(wrapped))
-    bps = tuple(wrapped[i:] + wrapped[:i])
-    if any(a >= b for a, b in zip(bps, bps[1:])):
+    w = np.fmod(angles, tau)
+    w[w > PI] -= tau
+    w[w <= -PI] += tau
+    i = -int(np.argmin(w))
+    bps = np.roll(w, i)
+    if np.any(bps[:-1] >= bps[1:]):
         raise UnsortedBreakpoints("two breakpoints collapsed onto one angle")
-    return StepFunction(bps, tuple(values[i:] + values[:i]),
-                        tuple(lengths[i:] + lengths[:i]))
+    return StepFunction(bps, np.roll(values, i), np.roll(lengths, i))
 
 
 def _floats(xs, what):
+    """xs as a new read-only 1-D float64 array."""
     try:
-        # a list first gives the tuple its exact size: tuple(map(...)) resizes
-        # a guessed one, and CPython's per-size free lists then fill with the
-        # results, raising a long-running process's peak RSS by about 1 MB
-        return tuple(list(map(float, xs)))
+        a = np.asarray(xs)
+        if a.dtype.kind not in "biuf":      # None and complex raise, as float() does
+            a = np.frompyfunc(float, 1, 1)(a)
+        a = np.array(a, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise NonFiniteNumber(f"{what} must be numbers: {exc}") from exc
+    if a.ndim != 1:
+        raise NonFiniteNumber(f"{what} must be a flat list of numbers, not {a.ndim}-D")
+    a.flags.writeable = False
+    return a
 
 
 def make_step(breakpoints, values, lengths=None):
@@ -147,34 +159,36 @@ def make_step(breakpoints, values, lengths=None):
     ``lengths``, when given, must agree with the breakpoint gaps to
     within ``_LENGTH_SLACK`` and is stored as the authoritative segment
     lengths (used by saved rearrangements to survive a round trip).
+    Each error names the first offending entry.
     """
     bps = _floats(breakpoints, "breakpoints")
     vals = _floats(values, "values")
-    if not all(map(math.isfinite, bps + vals)):
+    if not (np.isfinite(bps).all() and np.isfinite(vals).all()):
         raise NonFiniteNumber("breakpoints and values must be finite")
-    if not bps or not vals:
+    if not bps.size or not vals.size:
         raise LengthMismatch("breakpoints and values must be non-empty")
     if len(bps) != len(vals):
-        raise LengthMismatch(
-            f"{len(bps)} breakpoints but {len(vals)} values"
-        )
-    for b in bps:
-        # -pi and pi name the same point on the cut; accept either end
-        if not (-PI <= b <= PI):
-            raise AngleOutOfRange(f"breakpoint {b} not in [-pi, pi]")
+        raise LengthMismatch(f"{len(bps)} breakpoints but {len(vals)} values")
+    # -pi and pi name the same point on the cut; accept either end
+    bad = np.flatnonzero((bps < -PI) | (bps > PI))
+    if bad.size:
+        raise AngleOutOfRange(f"breakpoint {float(bps[bad[0]])} not in [-pi, pi]")
     if len(bps) > 1 and bps[0] == -PI and bps[-1] == PI:
         raise AngleOutOfRange("breakpoints -pi and pi coincide on the circle")
-    for a, b in zip(bps, bps[1:]):
-        if a >= b:
-            raise UnsortedBreakpoints(f"breakpoints not strictly increasing: {a} >= {b}")
+    bad = np.flatnonzero(bps[:-1] >= bps[1:])
+    if bad.size:
+        a, b = bps[bad[0]:bad[0] + 2].tolist()
+        raise UnsortedBreakpoints(f"breakpoints not strictly increasing: {a} >= {b}")
     if lengths is None:
         return StepFunction(bps, vals)
     lens = _floats(lengths, "segment lengths")
     if len(lens) != len(bps):
         raise LengthMismatch(f"{len(bps)} breakpoints but {len(lens)} segment lengths")
-    for got, gap in zip(lens, _gap_lengths(bps)):
-        if not (0.0 < got <= tau and abs(got - gap) <= _LENGTH_SLACK):
-            raise LengthMismatch(f"segment length {got} inconsistent with breakpoints")
+    bad = np.flatnonzero(~((0.0 < lens) & (lens <= tau)
+                           & (np.abs(lens - _gap_lengths(bps)) <= _LENGTH_SLACK)))
+    if bad.size:
+        raise LengthMismatch(
+            f"segment length {float(lens[bad[0]])} inconsistent with breakpoints")
     return StepFunction(bps, vals, lens)
 
 
@@ -205,16 +219,16 @@ def integral_p(f, arc, p):
     """
     if not (p >= 1 and math.isfinite(p)):
         raise POutOfRange(f"p must satisfy 1 <= p < inf, got {p}")
-    b0 = f.breakpoints[0]
+    b0 = float(f.breakpoints[0])
     a = b0 + ((arc.start - b0) % tau)
     hi = a + arc.length
-    starts = np.asarray(f.breakpoints)
+    starts = f.breakpoints
     ends = np.append(starts[1:], b0 + tau)
     ov = (np.maximum(0.0, np.minimum(ends, hi) - np.maximum(starts, a))
           + np.maximum(0.0, np.minimum(ends + tau, hi) - np.maximum(starts + tau, a)))
     hit = ov > 0.0
     with np.errstate(over="ignore"):    # overflow shows in the sum below
-        terms = np.abs(np.asarray(f.values)[hit]) ** p * ov[hit]
+        terms = np.abs(f.values[hit]) ** p * ov[hit]
     s = fsum(terms.tolist())
     if not math.isfinite(s):
         raise NonFiniteNumber(f"integral of |f|^p over the arc is {s}")
@@ -238,27 +252,30 @@ class DistributionSummary:
         return fsum(meas for mag, meas in self.entries if mag > t)
 
 
-def distribution(f):
-    """Aggregate |f| into a DistributionSummary.
-
-    Per-magnitude angular lengths are combined with ``math.fsum`` so the
-    result depends only on the multiset of (magnitude, length) pairs,
-    not on segment order.  A magnitude on one segment keeps that
-    segment's length, which is what fsum of one term returns.
+def _grouped(f):
+    """|f|'s nonzero magnitudes, decreasing, their summed angular lengths and
+    measures, and the zero set's measure.  Lengths are summed by fsum, so the
+    result depends only on the multiset of (magnitude, length) pairs; fsum
+    of one length is that length.
     """
-    mags = np.abs(np.asarray(f.values))
+    mags = np.abs(f.values)
     keep = mags > 0.0
     order = np.argsort(-mags[keep], kind="stable")
     mags = mags[keep][order]
-    lens = np.asarray(f.lengths)[keep][order]
+    lens = f.lengths[keep][order]
     heads = np.flatnonzero(np.diff(mags, prepend=np.inf) != 0.0)
     tails = np.append(heads[1:], len(mags))
     radians = lens[heads]
     for g in np.flatnonzero(tails - heads > 1):
         radians[g] = fsum(lens[heads[g]:tails[g]].tolist())
-    meas = (radians / tau).tolist()
-    zero = 1.0 - fsum(meas)
-    return DistributionSummary(tuple(zip(mags[heads].tolist(), meas)), max(0.0, zero),
+    meas = radians / tau
+    return mags[heads], radians, meas, max(0.0, 1.0 - fsum(meas.tolist()))
+
+
+def distribution(f):
+    """Aggregate |f| into a DistributionSummary of Python floats."""
+    mags, radians, meas, zero = _grouped(f)
+    return DistributionSummary(tuple(zip(mags.tolist(), meas.tolist())), zero,
                                tuple(radians.tolist()))
 
 
@@ -270,15 +287,12 @@ def equimeasurable(f, g, tol=0.0):
     """
     if not tol >= 0.0:
         raise TolOutOfRange(f"tol must be a nonnegative number, got {tol}")
-    df, dg = distribution(f), distribution(g)
-    if len(df.entries) != len(dg.entries):
-        return False
-    for (m1, s1), (m2, s2) in zip(df.entries, dg.entries):
-        if abs(m1 - m2) > tol * max(m1, m2):
-            return False
-        if abs(s1 - s2) > tol:
-            return False
-    return abs(df.zero_measure - dg.zero_measure) <= tol
+    m1, _, s1, z1 = _grouped(f)
+    m2, _, s2, z2 = _grouped(g)
+    return bool(len(m1) == len(m2)
+                and not np.any(np.abs(m1 - m2) > tol * np.maximum(m1, m2))
+                and not np.any(np.abs(s1 - s2) > tol)
+                and abs(z1 - z2) <= tol)
 
 
 def decreasing_rearrangement(f):
@@ -287,18 +301,21 @@ def decreasing_rearrangement(f):
     Starting at angle 0 and proceeding counterclockwise, the magnitudes
     of f are laid out in decreasing order, each on an arc of the same
     aggregated length; any zero set fills the remainder of the circle.
+    The cuts are running sums (np.cumsum adds in order) over windows twice
+    as long as the last stretch laid; a length too small to move its cut
+    moves it to the next float instead, and the sums resume from there.
     """
-    summary = distribution(f)
-    if not summary.entries:
+    mags, rads, _, zero = _grouped(f)
+    if not mags.size:
         return constant(0.0)
-    mags = [m for m, _ in summary.entries]
-    rads = list(summary.radian_lengths)
-    cuts = [0.0]
-    for rad in rads:
-        nxt = cuts[-1] + rad
-        while nxt <= cuts[-1]:        # guard against underflow collisions
-            nxt = math.nextafter(nxt, math.inf)
-        cuts.append(nxt)
-    if summary.zero_measure > 0.0 and cuts[-1] < tau:
-        return _circular(cuts, mags + [0.0], rads + [tau - cuts[-1]])
+    cuts, i, size = np.zeros(len(rads) + 1), 0, len(rads)    # cuts[:i + 1] are laid out
+    while i < len(rads):
+        run = np.cumsum(np.append(cuts[i], rads[i:i + size]))
+        hit = np.flatnonzero(run[1:] <= run[:-1])
+        m = int(hit[0]) + 1 if hit.size else len(run) - 1
+        cuts[i + 1:i + m + 1] = run[1:m + 1]
+        cuts[i + m] = np.nextafter(run[m - 1], np.inf) if hit.size else run[m]
+        i, size = i + m, 2 * m
+    if zero > 0.0 and cuts[-1] < tau:
+        return _circular(cuts, np.append(mags, 0.0), np.append(rads, tau - cuts[-1]))
     return _circular(cuts[:-1], mags, rads)

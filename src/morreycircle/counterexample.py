@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from math import fsum, tau
 
+import numpy as np
+
 from .circle_step import Arc, decreasing_rearrangement, make_step
 from .errors import (
     ArcOutsideDomain,
@@ -90,20 +92,21 @@ def gamma_arc(n):
 
 
 def build_g(params, N):
-    """Step function with value n^alpha on gamma_n for n = 16..N, else 0."""
+    """Step function with value n^alpha on gamma_n for n = 16..N, else 0.
+    Heights use Python's float **, as numpy's array ** is only within 1 ulp."""
     if N < N_MIN:
         raise NTooSmall(f"N must be >= {N_MIN}, got {N}")
     alpha = params.alpha
-    bps, vals = [], []
-    prev_gr = 0.0
-    for n in range(N, N_MIN - 1, -1):
-        gl, gr = _gamma_endpoints(n)
-        if gl <= prev_gr:
-            raise OverlapDetected(f"block arcs for n={n + 1} and n={n} overlap")
-        bps.extend((gl, gr))
-        vals.extend((float(n) ** alpha, 0.0))
-        prev_gr = gr
-    return make_step(bps, vals)
+    n = np.arange(N, N_MIN - 1, -1, dtype=np.float64)
+    gr = 1.0 / np.sqrt(n)
+    gl = gr - 1.0 / (n * (n + 1.0))
+    bad = np.flatnonzero(gl <= np.append(0.0, gr[:-1]))
+    if bad.size:
+        m = N - bad[0]
+        raise OverlapDetected(f"block arcs for n={m + 1} and n={m} overlap")
+    vals = np.zeros(2 * len(n))
+    vals[::2] = [float(k) ** alpha for k in range(N, N_MIN - 1, -1)]
+    return make_step(np.column_stack((gl, gr)).ravel(), vals)
 
 
 def build_f(params, N):

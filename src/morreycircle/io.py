@@ -39,9 +39,9 @@ def load_step_function(path):
 
 def save_step_function(f: StepFunction, path):
     doc = {
-        "breakpoints_rad": list(f.breakpoints),
-        "values": list(f.values),
-        "segment_lengths_rad": list(f.lengths),
+        "breakpoints_rad": f.breakpoints.tolist(),
+        "values": f.values.tolist(),
+        "segment_lengths_rad": f.lengths.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

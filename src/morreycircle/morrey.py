@@ -153,15 +153,15 @@ def morrey_norm_exact(f, params):
     Raises NonFiniteNumber if the integral of |f|^p is not finite.
     """
     p, lam = params.p, params.lam
-    bps = np.asarray(f.breakpoints)
+    bps = f.breakpoints
     lens = np.diff(np.append(bps, bps[0] + tau)) if len(bps) > 1 else np.array([tau])
     with np.errstate(over="ignore"):    # overflow shows in the total below
-        dens = np.abs(np.asarray(f.values)) ** p
+        dens = np.abs(f.values) ** p
     k = len(lens)
     total = _finite_total(float(np.dot(dens, lens) / tau))
 
     if lam == 0.0:
-        whole = Arc.from_endpoints(f.breakpoints[0], f.breakpoints[0])
+        whole = Arc.from_endpoints(float(bps[0]), float(bps[0]))
         return NormResult(total ** (1.0 / p), total, whole)
 
     meas = lens / tau
@@ -219,7 +219,7 @@ def morrey_norm_exact(f, params):
     rows = -(-n // TILE) if span > 0 else 0
     (neg_r, _, i, j), pairs = _best_first(rows, bounds, evaluate, (-total, 1.0, 0, k),
                                           (0.0, 0, 0))
-    arc = Arc.from_endpoints(f.breakpoints[i], f.breakpoints[j % k])
+    arc = Arc.from_endpoints(float(bps[i]), float(bps[j % k]))
     return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs)
 
 
@@ -243,7 +243,7 @@ def grid_search(f, params, refinement):
         )
     p, lam = params.p, params.lam
     n = int(refinement)
-    bps = np.asarray(f.breakpoints)
+    bps = f.breakpoints
     pts = np.union1d(bps, -math.pi + tau * np.arange(1, n + 1) / n)
     pts = pts[(pts > -math.pi) & (pts <= math.pi)]
     gaps = np.diff(np.concatenate((pts, [pts[0] + tau])))
@@ -251,7 +251,7 @@ def grid_search(f, params, refinement):
     mids = np.where(mids > math.pi, mids - tau, mids)
     idx = np.searchsorted(bps, mids, side="right") - 1
     with np.errstate(over="ignore"):    # overflow shows in the total below
-        dens = np.abs(np.asarray(f.values)) ** p
+        dens = np.abs(f.values) ** p
     contrib = dens[idx] * gaps / tau
     total = _finite_total(float(np.sum(contrib)))
     pre = np.concatenate(([0.0], np.cumsum(contrib)))[:len(pts)]
@@ -291,7 +291,7 @@ def grid_search(f, params, refinement):
     rows = -(-npts // TILE)
     (neg_r, a, b), pairs = _best_first(rows, bounds, evaluate, (-total, -1, -1), (0, 0))
     if a < 0:
-        arc = Arc(f.breakpoints[0], tau)
+        arc = Arc(float(bps[0]), tau)
     else:
         arc = Arc.from_endpoints(float(pts[a]), float(pts[b]))
     return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs)

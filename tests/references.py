@@ -1,13 +1,17 @@
 """Plain reference implementations that the library's fast paths must match
-bit for bit: one start at a time for the two Morrey supremum scans, and a
-dict of fsum buckets for the distribution.
+bit for bit: one start at a time for the two Morrey supremum scans, a dict
+of fsum buckets for the distribution, and loops over Python floats for
+building g, wrapping angles and laying out the decreasing rearrangement.
 """
 
+import math
 from math import fsum, pi, tau
 
 import numpy as np
 
-from morreycircle import Arc, DistributionSummary, NormResult
+from morreycircle import (Arc, DistributionSummary, NormResult, StepFunction, constant,
+                          make_step, wrap_angle)
+from morreycircle.errors import OverlapDetected, UnsortedBreakpoints
 
 
 def exact_scan(f, params):
@@ -78,7 +82,7 @@ def grid_scan(f, params, refinement):
 def distribution(f):
     """circle_step.distribution, bucketing magnitudes in a dict."""
     buckets = {}
-    for v, length in zip(f.values, f.lengths):
+    for v, length in zip(f.values.tolist(), f.lengths.tolist()):
         mag = abs(v)
         if mag == 0.0:
             continue
@@ -88,3 +92,60 @@ def distribution(f):
     entries = tuple((m, rad / tau) for m, rad in zip(mags, radians))
     zero = 1.0 - fsum(meas for _, meas in entries)
     return DistributionSummary(entries, max(0.0, zero), radians)
+
+
+def build_g(params, N):
+    """counterexample.build_g, one block at a time."""
+    alpha = params.alpha
+    bps, vals = [], []
+    prev_gr = 0.0
+    for n in range(N, 15, -1):
+        gr = 1.0 / math.sqrt(n)
+        gl = gr - 1.0 / (n * (n + 1))
+        if gl <= prev_gr:
+            raise OverlapDetected(f"block arcs for n={n + 1} and n={n} overlap")
+        bps.extend((gl, gr))
+        vals.extend((float(n) ** alpha, 0.0))
+        prev_gr = gr
+    return make_step(bps, vals)
+
+
+def build_f(params, N):
+    """counterexample.build_f on the reference g, rearrangement and rotation."""
+    g_star = decreasing_rearrangement(build_g(params, N))
+    return rotated(g_star, 1.0 / 16.0 - float(g_star.breakpoints[-1]))
+
+
+def circular(angles, values, lengths):
+    """circle_step._circular, wrapping one angle at a time with wrap_angle."""
+    wrapped = [wrap_angle(b) for b in angles]
+    i = wrapped.index(min(wrapped))
+    bps = wrapped[i:] + wrapped[:i]
+    if any(a >= b for a, b in zip(bps, bps[1:])):
+        raise UnsortedBreakpoints("two breakpoints collapsed onto one angle")
+    values, lengths = list(values), list(lengths)
+    return StepFunction(bps, values[i:] + values[:i], lengths[i:] + lengths[:i])
+
+
+def rotated(f, phi):
+    """StepFunction.rotated, one breakpoint at a time."""
+    return circular([b + phi for b in f.breakpoints.tolist()], f.values.tolist(),
+                    f.lengths.tolist())
+
+
+def decreasing_rearrangement(f):
+    """circle_step.decreasing_rearrangement, laying the cuts out one at a time."""
+    summary = distribution(f)
+    if not summary.entries:
+        return constant(0.0)
+    mags = [m for m, _ in summary.entries]
+    rads = list(summary.radian_lengths)
+    cuts = [0.0]
+    for rad in rads:
+        nxt = cuts[-1] + rad
+        while nxt <= cuts[-1]:        # guard against underflow collisions
+            nxt = math.nextafter(nxt, math.inf)
+        cuts.append(nxt)
+    if summary.zero_measure > 0.0 and cuts[-1] < tau:
+        return circular(cuts, mags + [0.0], rads + [tau - cuts[-1]])
+    return circular(cuts[:-1], mags, rads)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from morreycircle import (
     Arc,
+    StepFunction,
     constant,
     decreasing_rearrangement,
     distribution,
@@ -28,6 +29,7 @@ from morreycircle.errors import (
     UnsortedBreakpoints,
 )
 
+import references
 from conftest import random_step
 from references import distribution as distribution_reference
 
@@ -42,6 +44,25 @@ def test_make_step_two_segment_indicator():
     assert f.value_at(1.0) == 1.0
     assert f.value_at(pi) == 1.0
     assert f.value_at(-1.0) == 0.0
+    assert all(type(f.value_at(t)) is float for t in (1.0, pi, -1.0, -pi))
+
+def test_step_function_fields_are_frozen_float_arrays():
+    bps = np.array([0.0, 1.0])
+    f = StepFunction(bps, [1, 2])
+    bps[0] = -1.0                       # a writeable input is copied
+    for field in (f.breakpoints, f.values, f.lengths):
+        assert field.dtype == np.float64 and field.ndim == 1
+        assert not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[0] = 5.0
+    assert f.breakpoints.tolist() == [0.0, 1.0]
+    assert f.lengths.tolist() == [1.0, tau - 1.0]
+    # a read-only float64 array is kept as it is
+    assert StepFunction(f.breakpoints, f.values, f.lengths).values is f.values
+    assert f == make_step([0.0, 1.0], [1.0, 2.0])
+    assert f != make_step([0.0, 1.0], [1.0, 3.0])
+    assert f != make_step([0.0, 1.0], [1.0, 2.0], [1.0, tau - 1.0 + 1e-12])
+    assert f != (f.breakpoints, f.values, f.lengths)
 
 def test_make_step_constant_wraps():
     f = make_step([0.0], [3.5])
@@ -55,10 +76,14 @@ def test_make_step_length_mismatch():
 def test_make_step_unsorted():
     with pytest.raises(UnsortedBreakpoints):
         make_step([1.0, 0.0], [1.0, 2.0])
+    with pytest.raises(UnsortedBreakpoints, match=r"increasing: 2\.0 >= 1\.5$"):
+        make_step([0.0, 2.0, 1.5, 1.0, 1.0], [1.0] * 5)
 
 def test_make_step_angle_out_of_range():
     with pytest.raises(AngleOutOfRange):
         make_step([0.0, 4.0], [1.0, 2.0])
+    with pytest.raises(AngleOutOfRange, match=r"^breakpoint -3\.5 not"):
+        make_step([-3.5, 0.0, 4.0], [1.0, 2.0, 3.0])
 
 def test_make_step_empty():
     with pytest.raises(LengthMismatch):
@@ -70,16 +95,21 @@ def test_make_step_inconsistent_lengths():
                     [1.0, tau - 1.0, 0.5], [1.0, float("nan")]):
         with pytest.raises(LengthMismatch):
             make_step([0.0, 1.0], [1.0, 2.0], lengths)
+    with pytest.raises(LengthMismatch, match=r"^segment length 1\.5 inconsistent"):
+        make_step([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 1.5, 0.0])
 
 def test_make_step_rejects_non_numbers():
     nan, inf = float("nan"), float("inf")
     for bps, vals in (([0.0, 1.0], ["abc", 2.0]), ([[0.0], 1.0], [1.0, 2.0]),
                       ([0.0, 1.0], [nan, 2.0]), ([0.0, 1.0], [inf, 2.0]),
-                      ([0.0, nan], [1.0, 2.0]), ([-inf, 0.0], [1.0, 2.0])):
+                      ([0.0, nan], [1.0, 2.0]), ([-inf, 0.0], [1.0, 2.0]),
+                      ([[0.0], [1.0]], [1.0, 2.0]), ([0.0, 1.0], [None, 2.0]),
+                      ([0.0, 1.0], [1j, 2.0]), (0.0, 1.0)):
         with pytest.raises(NonFiniteNumber):
             make_step(bps, vals)
-    with pytest.raises(NonFiniteNumber):
-        make_step([0.0, 1.0], [1.0, 2.0], ["x", 2.0])
+    for lengths in (["x", 2.0], [None, tau - 1.0], [[1.0], [tau - 1.0]]):
+        with pytest.raises(NonFiniteNumber):
+            make_step([0.0, 1.0], [1.0, 2.0], lengths)
 
 
 # --- integral ---
@@ -270,10 +300,69 @@ def test_rearrangement_values_nonincreasing(rng):
     for _ in range(10):
         f = random_step(rng)
         r = decreasing_rearrangement(f)
-        k = r.breakpoints.index(0.0)   # magnitudes descend starting at angle 0
-        circ = r.values[k:] + r.values[:k]
+        k = r.breakpoints.tolist().index(0.0)   # magnitudes descend from angle 0
+        circ = r.values[k:].tolist() + r.values[:k].tolist()
         mags = [v for v in circ if v > 0]
         assert mags == sorted(mags, reverse=True)
+
+
+def test_rearrangement_steps_past_colliding_cuts():
+    # each subnormal segment follows a cut near 3.0, where adding it changes
+    # nothing; the cut moves one float up and the later cuts add on from it
+    tiny = 5e-324
+    for bps, vals in (([-3.0, 0.0, tiny], [2.0, 1.0, 0.0]),
+                      ([-3.0, 0.0, tiny, 2 * tiny], [3.0, 2.0, 1.0, 0.0]),
+                      ([-3.0, 0.0, tiny, 0.5], [4.0, 3.0, 2.0, 1.0])):
+        f = make_step(bps, vals)
+        r = decreasing_rearrangement(f)
+        assert r == references.decreasing_rearrangement(f)
+        assert {3.0, math.nextafter(3.0, math.inf)} <= set(r.breakpoints.tolist())
+        assert np.all(np.diff(r.breakpoints) > 0.0)
+        assert equimeasurable(f, r, 0.0)
+
+
+# --- bit identity with the scalar references ---
+
+def _same_bits(f, g):
+    return all(getattr(f, field).tobytes() == getattr(g, field).tobytes()
+               for field in ("breakpoints", "values", "lengths"))
+
+@pytest.mark.parametrize("n", [16, 17, 100, 10_000, 30_000, 100_000])
+def test_counterexample_pair_matches_references(n):
+    assert _same_bits(build_g(PRM, n), references.build_g(PRM, n))
+    assert _same_bits(build_f(PRM, n), references.build_f(PRM, n))
+
+def test_rotation_and_rearrangement_match_references(rng):
+    angles = [pi, -pi, tau, -tau, 1e6, -1e6, 0.0]
+    cases = []
+    for c in range(1000):
+        f = random_step(rng, max_segments=20)
+        if c % 3 == 0:
+            # repeated magnitudes of both signs, so that lengths are fsummed
+            vals = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], len(f.values))
+            f = make_step(f.breakpoints, vals)
+        cases.append((f, [*angles, float(rng.uniform(-10.0, 10.0))]))
+    for f, phis in cases:
+        for phi in phis:
+            try:
+                want = references.rotated(f, phi)
+            except UnsortedBreakpoints:
+                with pytest.raises(UnsortedBreakpoints):
+                    f.rotated(phi)
+                continue
+            got = f.rotated(phi)
+            assert _same_bits(got, want)
+            assert _same_bits(decreasing_rearrangement(got),
+                              references.decreasing_rearrangement(want))
+
+@pytest.mark.parametrize("x", [
+    pi, -pi, tau, -tau, 3 * pi, -3 * pi, 0.0, -0.0, 1e300, -1e300, 5e-324,
+    math.nextafter(pi, 0.0), math.nextafter(pi, 4.0),
+    math.nextafter(-pi, 0.0), math.nextafter(-pi, -4.0)])
+def test_rotation_wraps_as_wrap_angle(x):
+    # -0.0 + x is x, zeros included, so the rotated breakpoint is the wrap of x
+    got = make_step([-0.0], [1.0]).rotated(x).breakpoints
+    assert got.tobytes() == np.float64(wrap_angle(x)).tobytes()
 
 
 # --- rotate ---

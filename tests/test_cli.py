@@ -88,6 +88,10 @@ def test_norm_rejects_inconsistent_segment_lengths(runner, tmp_path):
     {"breakpoints_rad": [[0.0], 1.0], "values": [1, 2]},
     {"breakpoints_rad": [0.0, 1.0], "values": [float("nan"), 2]},
     {"breakpoints_rad": [0.0, 1.0], "values": [float("inf"), 2]},
+    {"breakpoints_rad": [[0.0], [1.0]], "values": [1, 2]},
+    {"breakpoints_rad": [0.0, 1.0], "values": [None, 2]},
+    {"breakpoints_rad": [0.0, 1.0], "values": [1, [2, 3]]},
+    {"breakpoints_rad": [0.0, 1.0], "values": [1, 2], "segment_lengths_rad": [1.0, None]},
 ])
 def test_non_numbers_in_input_are_clean_errors(runner, tmp_path, command, doc):
     path = tmp_path / "f.json"
@@ -260,8 +264,8 @@ def test_saved_file_roundtrips_lengths(tmp_path):
     p = tmp_path / "g.json"
     save_step_function(g, str(p))
     back = load_step_function(str(p))
-    assert back.lengths == g.lengths
-    assert back.values == g.values
+    assert back.lengths.tobytes() == g.lengths.tobytes()
+    assert back.values.tobytes() == g.values.tobytes()
 
 
 def _fresh_import_probe(env):

@@ -229,6 +229,19 @@ def test_whole_circle_is_reported_from_the_first_breakpoint():
         assert res.argmax == Arc(pi, tau)
 
 
+def test_scan_results_hold_python_floats():
+    # numpy scalars would print as np.float64(...) in reprs and reports
+    g = build_g(validate_params(1.0, 0.5, 0.2), 100)
+    cases = [(f, lam) for f in (g, g.rotated(2.9), constant(2.0), constant(0.0),
+                                make_step([-pi, 0.0], [1.0, 1.0]))
+             for lam in (0.0, 0.5)]
+    for f, lam in cases:
+        params = MorreyParams(1.0, lam)
+        for res in (morrey_norm_exact(f, params), grid_search(f, params, 64)):
+            fields = (res.value, res.ratio_sup, res.argmax.start, res.argmax.length)
+            assert all(type(x) is float for x in fields), (res, lam)
+
+
 # --- the tiled scans against plain per-start references ---
 
 def _step_with_tiny_segment(rng, k):
