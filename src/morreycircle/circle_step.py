@@ -11,8 +11,8 @@ By default lengths are the breakpoint differences (each a single IEEE
 subtraction, hence correctly rounded); internal constructors may supply
 lengths that are consistent within one ulp, which lets distribution
 computations stay bit-for-bit stable under rotation and rearrangement.
-Only that side reads them (distribution, rotation, rearrangement and
-io); integrals and Morrey suprema measure arcs by breakpoint gaps.
+Only that side reads them; integrals and Morrey suprema measure arcs by
+breakpoint gaps, which gap_lengths, the one gap routine, computes.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class StepFunction:
     lengths: np.ndarray = None
 
     def __post_init__(self):
-        lengths = _gap_lengths(self.breakpoints) if self.lengths is None else self.lengths
+        lengths = gap_lengths(self.breakpoints) if self.lengths is None else self.lengths
         for fld, x in zip(fields(self), (self.breakpoints, self.values, lengths)):
             if not (isinstance(x, np.ndarray) and x.dtype == np.float64
                     and not x.flags.writeable):
@@ -104,7 +104,7 @@ class StepFunction:
         return len(self.breakpoints)
 
     def value_at(self, theta):
-        """Value on the segment containing ``theta`` (endpoints go left)."""
+        """Value at ``theta``; a breakpoint takes the segment it starts, but +-pi the last."""
         # index -1, before the first breakpoint, is the segment past the cut
         i = np.searchsorted(self.breakpoints, wrap_angle(theta), side="right") - 1
         return float(self.values[i])
@@ -114,8 +114,9 @@ class StepFunction:
         return _circular(self.breakpoints + phi, self.values, self.lengths)
 
 
-def _gap_lengths(bps):
-    return np.append(np.diff(bps), bps[0] + tau - bps[-1]) if len(bps) > 1 else [tau]
+def gap_lengths(bps):
+    """Angle from each breakpoint to the next, the last wrapping past the cut."""
+    return np.append(np.diff(bps), bps[0] + tau - bps[-1]) if len(bps) > 1 else np.array([tau])
 
 
 def _circular(angles, values, lengths):
@@ -185,7 +186,7 @@ def make_step(breakpoints, values, lengths=None):
     if len(lens) != len(bps):
         raise LengthMismatch(f"{len(bps)} breakpoints but {len(lens)} segment lengths")
     bad = np.flatnonzero(~((0.0 < lens) & (lens <= tau)
-                           & (np.abs(lens - _gap_lengths(bps)) <= _LENGTH_SLACK)))
+                           & (np.abs(lens - gap_lengths(bps)) <= _LENGTH_SLACK)))
     if bad.size:
         raise LengthMismatch(
             f"segment length {float(lens[bad[0]])} inconsistent with breakpoints")

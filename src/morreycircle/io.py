@@ -20,7 +20,7 @@ def load_step_function(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:     # not JSON, not UTF-8, too deep
             raise MorreyCircleError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MorreyCircleError(f"{path}: expected a JSON object")
@@ -34,7 +34,10 @@ def load_step_function(path):
     lengths = doc.get("segment_lengths_rad")
     if lengths is not None and not isinstance(lengths, list):
         raise MorreyCircleError(f"{path}: segment_lengths_rad must be an array")
-    return make_step(bps, vals, lengths)
+    try:
+        return make_step(bps, vals, lengths)
+    except MorreyCircleError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_step_function(f: StepFunction, path):

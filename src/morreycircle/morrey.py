@@ -24,7 +24,7 @@ from math import tau
 
 import numpy as np
 
-from .circle_step import Arc, integral_p
+from .circle_step import Arc, gap_lengths, integral_p
 from .errors import (LambdaOutOfRange, NonFiniteNumber, POutOfRange,
                      RefinementOutOfRange, ZeroMeasureArc)
 
@@ -121,24 +121,20 @@ def _best_first(rows, bounds, evaluate, best, low):
     vector is recomputed when its row is visited, so memory stays at
     O(rows + TILE^2).  Returns the best key and the ratios computed.
     """
-    tops = np.array([_largest(bounds(i)) for i in range(rows)] or [-np.inf])
+    tops = np.array([bounds(i).max() for i in range(rows)] or [-np.inf])
     pairs = 0
     # each visited bound is set to -inf; the best ratio is at least the
     # seed's, which is finite, so both loops end
-    while (-_largest(tops), *low) < best:
+    while (-tops.max(), *low) < best:
         i = int(np.argmax(tops))
         tops[i] = -np.inf
         ub = bounds(i)
-        while (-_largest(ub), *low) < best:
+        while (-ub.max(), *low) < best:
             j = int(np.argmax(ub))
             ub[j] = -np.inf
             best, done = evaluate(i, j, best)
             pairs += done
     return best, pairs
-
-
-def _largest(a):
-    return a.flat[np.argmax(a)]
 
 
 def morrey_norm_exact(f, params):
@@ -154,7 +150,7 @@ def morrey_norm_exact(f, params):
     """
     p, lam = params.p, params.lam
     bps = f.breakpoints
-    lens = np.diff(np.append(bps, bps[0] + tau)) if len(bps) > 1 else np.array([tau])
+    lens = gap_lengths(bps)
     with np.errstate(over="ignore"):    # overflow shows in the total below
         dens = np.abs(f.values) ** p
     k = len(lens)
@@ -208,7 +204,7 @@ def morrey_norm_exact(f, params):
         r[d < 0.0] = -np.inf
         r[d >= span] = -np.inf
         r[dead[p0:p1]] = -np.inf
-        top = _largest(r)
+        top = r.max()
         if top < -best[0]:
             return best, r.size
         # row-major order within the tile is (start, end) order
@@ -232,10 +228,13 @@ def _finite_total(total):
 def grid_search(f, params, refinement):
     """Best arc whose endpoints lie on breakpoints plus a uniform grid.
 
-    Every (start, end) pair of points is a candidate, the full circle
-    included; the first maximum in (start, end) order wins, and the full
-    circle wins a tie with it.  Raises NonFiniteNumber if the integral of
-    |f|^p is not finite.
+    The points are f's breakpoints, -pi entered as pi, and the grid points
+    -pi + tau * k / refinement, k = 1..refinement, at or below pi.  No
+    breakpoint lies inside a cell, so a cell takes its left end's segment.
+    Every (start, end) pair is a candidate; the first maximum in (start,
+    end) order wins, and the full circle, reported from the first
+    breakpoint, wins a tie with it.  Raises NonFiniteNumber if the
+    integral of |f|^p is not finite.
     """
     if not (2 <= refinement <= MAX_REFINEMENT):
         raise RefinementOutOfRange(
@@ -244,18 +243,16 @@ def grid_search(f, params, refinement):
     p, lam = params.p, params.lam
     n = int(refinement)
     bps = f.breakpoints
-    pts = np.union1d(bps, -math.pi + tau * np.arange(1, n + 1) / n)
-    pts = pts[(pts > -math.pi) & (pts <= math.pi)]
-    gaps = np.diff(np.concatenate((pts, [pts[0] + tau])))
-    mids = pts + 0.5 * gaps
-    mids = np.where(mids > math.pi, mids - tau, mids)
-    idx = np.searchsorted(bps, mids, side="right") - 1
+    pts = np.union1d(np.where(bps == -math.pi, math.pi, bps),
+                     -math.pi + tau * np.arange(1, n + 1) / n)
+    pts = pts[pts <= math.pi]
+    idx = np.searchsorted(bps, np.where(pts == math.pi, -math.pi, pts), side="right") - 1
     with np.errstate(over="ignore"):    # overflow shows in the total below
         dens = np.abs(f.values) ** p
-    contrib = dens[idx] * gaps / tau
+    contrib = dens[idx] * gap_lengths(pts) / tau
     total = _finite_total(float(np.sum(contrib)))
-    pre = np.concatenate(([0.0], np.cumsum(contrib)))[:len(pts)]
     npts = len(pts)
+    pre = np.concatenate(([0.0], np.cumsum(contrib)))[:npts]
     # the forward arc from a to a + 1 is the shortest one starting at a
     step = (np.append(pts[1:], np.inf) - pts) / tau
 
@@ -290,10 +287,8 @@ def grid_search(f, params, refinement):
 
     rows = -(-npts // TILE)
     (neg_r, a, b), pairs = _best_first(rows, bounds, evaluate, (-total, -1, -1), (0, 0))
-    if a < 0:
-        arc = Arc(float(bps[0]), tau)
-    else:
-        arc = Arc.from_endpoints(float(pts[a]), float(pts[b]))
+    # the seed's index -1 reads bps[0]: the whole circle, as in the exact scan
+    arc = Arc.from_endpoints(*np.append(pts, bps[0])[[a, b]].tolist())
     return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs)
 
 

@@ -52,12 +52,11 @@ def grid_scan(f, params, refinement):
     p, lam = params.p, params.lam
     n = int(refinement)
     bps = np.asarray(f.breakpoints)
-    pts = np.union1d(bps, -pi + tau * np.arange(1, n + 1) / n)
-    pts = pts[(pts > -pi) & (pts <= pi)]
+    pts = np.union1d(np.where(bps == -pi, pi, bps), -pi + tau * np.arange(1, n + 1) / n)
+    pts = pts[pts <= pi]
     gaps = np.diff(np.concatenate((pts, [pts[0] + tau])))
-    mids = pts + 0.5 * gaps
-    mids = np.where(mids > pi, mids - tau, mids)
-    idx = np.searchsorted(bps, mids, side="right") - 1
+    # each cell lies in the segment of its left end; pi starts the one at -pi
+    idx = np.searchsorted(bps, np.where(pts == pi, -pi, pts), side="right") - 1
     dens = np.abs(np.asarray(f.values)) ** p
     contrib = dens[idx] * gaps / tau
     total = float(np.sum(contrib))
@@ -73,7 +72,7 @@ def grid_scan(f, params, refinement):
         if ratio[b] > best_r:
             best_r, best_a, best_b = float(ratio[b]), a, b
     if best_a is None:
-        arc = Arc(f.breakpoints[0], tau)
+        arc = Arc.from_endpoints(f.breakpoints[0], f.breakpoints[0])
     else:
         arc = Arc.from_endpoints(float(pts[best_a]), float(pts[best_b]))
     return NormResult(best_r ** (1.0 / p), best_r, arc)

@@ -135,6 +135,32 @@ def test_norm_malformed_input_fails(runner, tmp_path):
     assert res.exit_code != 0
 
 
+@pytest.mark.parametrize("command", ["norm", "equimeasurable"])
+@pytest.mark.parametrize("content", [
+    b"{not json",
+    b"\xff\xfe",
+    b"[" * 100_000,
+    b"[0.0, 1.0]",
+    json.dumps({"values": [1.0]}).encode(),
+    json.dumps({"breakpoints_rad": 0.0, "values": [1.0]}).encode(),
+    json.dumps({"breakpoints_rad": [0.0], "values": [1.0],
+                "segment_lengths_rad": 6.0}).encode(),
+    json.dumps({"breakpoints_rad": [0.0, 1.0], "values": ["abc", 2]}).encode(),
+    json.dumps({"breakpoints_rad": [1.0, 0.0], "values": [1.0, 2.0]}).encode(),
+], ids=["not-json", "not-utf8", "too-deep", "not-object", "missing-field", "scalar-field",
+        "scalar-lengths", "non-number", "unsorted"])
+def test_bad_input_file_is_named_in_the_error(runner, tmp_path, command, content):
+    good = _write(tmp_path / "good.json", make_step([0.0], [1.0]))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    args = (["norm", "--input", str(bad)] if command == "norm"
+            else ["equimeasurable", "--input", good, "--input2", str(bad)])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith(f"Error: {bad}: ")
+
+
 def test_norm_bad_lambda_fails(runner, tmp_path):
     path = _write(tmp_path / "c.json", make_step([0.0], [1.0]))
     res = runner.invoke(main, ["norm", "--input", path, "--lambda", "1.5"])

@@ -227,6 +227,31 @@ def test_whole_circle_is_reported_from_the_first_breakpoint():
         res = morrey_norm_exact(f, MorreyParams(1.0, lam))
         assert res.ratio_sup == 1.0
         assert res.argmax == Arc(pi, tau)
+        # the grid sums 64 cells into its total, which may round below 1.0
+        assert grid_search(f, MorreyParams(1.0, lam), 64).argmax == Arc(pi, tau)
+
+def test_grid_reads_a_one_ulp_segment():
+    # the spike's cell is one ulp wide, and its midpoint would round onto the
+    # next breakpoint; at 3.0 instead of an odd mantissa it would round back
+    x = np.nextafter(3.0, 4.0)
+    f = make_step([0.0, x, np.nextafter(x, 4.0)], [0.0, 1e8, 0.0])
+    mp = MorreyParams(1.0, 0.5)
+    want = morrey_ratio(f, morrey_norm_exact(f, mp).argmax, mp)
+    assert want == 0.8407079928334896
+    res = grid_search(f, mp, 4096)
+    assert res.ratio_sup == want
+    assert res == grid_scan(f, mp, 4096)
+
+@pytest.mark.parametrize("refinement", [13, 26, 4096])
+def test_grid_keeps_a_breakpoint_at_minus_pi(refinement):
+    # at refinements 13 and 26 no grid point lands on pi, so only the
+    # breakpoint itself, entered as pi, opens the heavy half circle
+    f = make_step([-pi, 0.0], [100.0, 1.0])
+    mp = MorreyParams(1.0, 0.5)
+    assert morrey_norm_exact(f, mp).ratio_sup == 70.71067811865474
+    res = grid_search(f, mp, refinement)
+    assert abs(res.ratio_sup - 70.71067811865474) <= 1e-12
+    assert res == grid_scan(f, mp, refinement)
 
 
 def test_scan_results_hold_python_floats():
@@ -318,6 +343,15 @@ def test_grid_scan_matches_per_start_reference(rng):
         f = random_step(rng, value_lo=0.0, value_hi=10.0)
         mp = MorreyParams(1.0, 0.5)
         assert grid_search(f, mp, 4096) == grid_scan(f, mp, 4096)
+
+
+def test_grid_scan_visits_rows_best_bound_first(rng):
+    # a work count, identical on every host: rows taken in index order
+    # instead compute 1.99e7 pairs here, against 1.40e6
+    mp = MorreyParams(1.0, 0.5)
+    pairs = sum(grid_search(random_step(rng, value_lo=0.0, value_hi=10.0), mp, 65536).pairs
+                for _ in range(6))
+    assert 0 < pairs < 4e6
 
 
 def test_grid_seed_wins_ties_without_evaluating_them():
