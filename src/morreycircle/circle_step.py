@@ -216,7 +216,8 @@ def integral_p(f, arc, p):
     together with its 2*pi translate, is overlapped with it; arcs through
     the -pi/pi cut meet the translates.  The overlaps are taken over numpy
     arrays, and the products |value|^p * overlap are summed by fsum.
-    Raises NonFiniteNumber if |value|^p overflows on a segment the arc meets.
+    Raises NonFiniteNumber if |value|^p overflows on a segment the arc meets,
+    or if the sum does.
     """
     if not (p >= 1 and math.isfinite(p)):
         raise POutOfRange(f"p must satisfy 1 <= p < inf, got {p}")
@@ -230,7 +231,10 @@ def integral_p(f, arc, p):
     hit = ov > 0.0
     with np.errstate(over="ignore"):    # overflow shows in the sum below
         terms = np.abs(f.values[hit]) ** p * ov[hit]
-    s = fsum(terms.tolist())
+    try:
+        s = fsum(terms.tolist())
+    except OverflowError:   # fsum raises where a partial sum overflows
+        s = math.inf
     if not math.isfinite(s):
         raise NonFiniteNumber(f"integral of |f|^p over the arc is {s}")
     return s / tau

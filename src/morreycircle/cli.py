@@ -32,7 +32,6 @@ from .counterexample import (
     g_ratio_upper_bound,
     validate_params,
 )
-from .errors import MorreyCircleError
 from .io import load_step_function, save_step_function
 from .morrey import MAX_REFINEMENT, MorreyParams, grid_search, morrey_norm_exact
 
@@ -48,7 +47,19 @@ def _emit(text, out_path):
     click.echo(text, nl=False)
 
 
-@click.group()
+class _CleanErrors(click.Group):
+    """A group whose commands report a ValueError (MorreyCircleError is one)
+    or an OSError as a one-line ``Error:`` with exit status 1, not as a
+    traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_CleanErrors)
 def main():
     """Morrey-space functionals of step functions on the circle."""
 
@@ -64,17 +75,14 @@ def main():
 @click.option("--out", "out_path", default=None, help="Also write the CSV here.")
 def norm(input_path, p, lam, method, refinement, out_path):
     """Morrey norm of a step function, as a one-row CSV."""
-    try:
-        f = load_step_function(input_path)
-        params = MorreyParams(p, lam)
-        res = (morrey_norm_exact(f, params) if method == "exact"
-               else grid_search(f, params, refinement))
-        row = (res.value, res.ratio_sup, res.argmax.start, res.argmax.length)
-        text = "norm,ratio_sup,arc_start,arc_length\n"
-        text += ",".join(_fmt(x) for x in row) + "\n"
-        _emit(text, out_path)
-    except (MorreyCircleError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    f = load_step_function(input_path)
+    params = MorreyParams(p, lam)
+    res = (morrey_norm_exact(f, params) if method == "exact"
+           else grid_search(f, params, refinement))
+    row = (res.value, res.ratio_sup, res.argmax.start, res.argmax.length)
+    text = "norm,ratio_sup,arc_start,arc_length\n"
+    text += ",".join(_fmt(x) for x in row) + "\n"
+    _emit(text, out_path)
 
 
 @main.command()
@@ -82,11 +90,8 @@ def norm(input_path, p, lam, method, refinement, out_path):
 @click.option("--out", "out_path", required=True)
 def rearrange(input_path, out_path):
     """Write the decreasing rearrangement of a step function."""
-    try:
-        f = load_step_function(input_path)
-        save_step_function(decreasing_rearrangement(f), out_path)
-    except (MorreyCircleError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    f = load_step_function(input_path)
+    save_step_function(decreasing_rearrangement(f), out_path)
 
 
 @main.command()
@@ -96,12 +101,9 @@ def rearrange(input_path, out_path):
               help="Comparison tolerance; 0 demands exact agreement.")
 def equimeasurable(input_path, input2_path, tol):
     """Print true/false; exit 0 iff the two functions are equimeasurable."""
-    try:
-        f = load_step_function(input_path)
-        g = load_step_function(input2_path)
-        verdict = eq_check(f, g, tol)
-    except (MorreyCircleError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    f = load_step_function(input_path)
+    g = load_step_function(input2_path)
+    verdict = eq_check(f, g, tol)
     click.echo("true" if verdict else "false")
     sys.exit(0 if verdict else 1)
 
@@ -132,36 +134,33 @@ def counterexample(p, lam, eps, n_max, t_grid, tail_tol, out_path):
     f-ratio enclosure reaches the divergence bound, and every exact
     g-ratio supremum stays below its upper bound.
     """
-    try:
-        params = validate_params(p, lam, eps)
-        ts = [float(s) for s in t_grid.split(",") if s.strip()]
-        if not ts:
-            raise click.ClickException("--t-grid names no prefix-arc length")
-        f = build_f(params, n_max)
-        g = build_g(params, n_max)
-        verdict = eq_check(f, g, 0.0)
-        lines = [f"equimeasurable,{'true' if verdict else 'false'}", ""]
+    params = validate_params(p, lam, eps)
+    ts = [float(s) for s in t_grid.split(",") if s.strip()]
+    if not ts:
+        raise click.ClickException("--t-grid names no prefix-arc length")
+    f = build_f(params, n_max)
+    g = build_g(params, n_max)
+    verdict = eq_check(f, g, 0.0)
+    lines = [f"equimeasurable,{'true' if verdict else 'false'}", ""]
 
-        ok = verdict
-        lines.append("t,ratio_lo,ratio_hi,divergence_bound")
-        for t in ts:
-            enc = f_prefix_ratio(params, t, tail_tol)
-            bound = divergence_lower_bound(params, t)
-            ok = ok and enc.lo >= bound
-            lines.append(",".join(_fmt(x) for x in (t, enc.lo, enc.hi, bound)))
-        lines.append("")
+    ok = verdict
+    lines.append("t,ratio_lo,ratio_hi,divergence_bound")
+    for t in ts:
+        enc = f_prefix_ratio(params, t, tail_tol)
+        bound = divergence_lower_bound(params, t)
+        ok = ok and enc.lo >= bound
+        lines.append(",".join(_fmt(x) for x in (t, enc.lo, enc.hi, bound)))
+    lines.append("")
 
-        gbound = g_ratio_upper_bound(params)
-        lines.append("N,g_ratio_sup,g_upper_bound")
-        # the schedule ends at n_max, whose g is already built
-        for n in _n_schedule(n_max):
-            gn = g if n == n_max else build_g(params, n)
-            sup = morrey_norm_exact(gn, params).ratio_sup
-            ok = ok and sup <= gbound
-            lines.append(f"{n}," + _fmt(sup) + "," + _fmt(gbound))
-        _emit("\n".join(lines) + "\n", out_path)
-    except (MorreyCircleError, ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    gbound = g_ratio_upper_bound(params)
+    lines.append("N,g_ratio_sup,g_upper_bound")
+    # the schedule ends at n_max, whose g is already built
+    for n in _n_schedule(n_max):
+        gn = g if n == n_max else build_g(params, n)
+        sup = morrey_norm_exact(gn, params).ratio_sup
+        ok = ok and sup <= gbound
+        lines.append(f"{n}," + _fmt(sup) + "," + _fmt(gbound))
+    _emit("\n".join(lines) + "\n", out_path)
     sys.exit(0 if ok else 1)
 
 

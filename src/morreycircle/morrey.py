@@ -99,41 +99,56 @@ def _ratio_bound(ihi, mlo, lam):
     return ub
 
 
-def _best_first(rows, bounds, evaluate, best, low):
+def _best_first(n, extent, bounds, evaluate, best, low):
     """Smallest pair key of a tiled scan, visiting tiles best bound first.
 
-    ``bounds(i)`` returns row tile i's vector of upper bounds on the ratios
-    of its pairs, one per column tile; ``evaluate(i, j, best)`` returns the
-    smaller of ``best`` and the keys of tile (i, j), and the number of
-    ratios it computed.  A key is a tuple: minus the ratio, then a tail at
-    or above ``low`` for every pair.  Rows are visited in decreasing order
-    of their largest bound and a row's tiles in decreasing bound order; a
-    row, and then the scan, stops at the first bound U with (-U, *low) not
-    below the best key, since no pair of such a tile can win.  So a tile
-    whose bound ties the best ratio is evaluated, as a tie may win on the
-    tail, unless the best key's tail is below ``low``, as a seed's can be.
+    The kernel owns the tiling: it cuts rows 0..n-1 into TILE-row tiles,
+    and the columns [c_lo, c_hi) = ``extent(r0, r1)`` of row tile [r0, r1)
+    into TILE-column tiles [c0[j], c1[j]).  ``bounds(r0, r1, c0, c1)``
+    returns an upper bound on the ratios of each column tile's pairs, and
+    ``evaluate(r0, r1, c0[j], c1[j], best)`` the smallest key of one tile's
+    pairs, or ``best`` once it sees that none is below it.  A key is a
+    tuple: minus the ratio, then a tail at or above ``low`` for every pair.
+    Rows are visited in decreasing order of their largest bound and a row's
+    tiles in decreasing bound order; a row, and then the scan, stops at the
+    first bound U with (-U, *low) not below the best key, since no pair of
+    such a tile can win.  So a tile whose bound ties the best ratio is
+    evaluated, as a tie may win on the tail, unless the best key's tail is
+    below ``low``, as a seed's can be.
 
-    The bounds are sound because each scan reads its pairs' integrals and
-    measures from cumulative sums of nonnegative terms, which are monotone
-    in floating point, through subtractions, additions of a constant and
-    divisions by tau, which are monotone under round-to-nearest; the only
+    A scan's ``bounds`` must be sound on any rectangle of rows x columns,
+    not only on these tiles, so that the kernel alone chooses the
+    rectangles it bounds.  Both scans' bounds are: they read the corner
+    values of cumulative sums of nonnegative terms, which are monotone in
+    floating point, through subtractions, additions of a constant and
+    divisions by tau, which are monotone under round-to-nearest, and clamp
+    the measure by the shortest single-step arc of the rows; the only
     non-monotone step, ** lam, is covered by _ratio_bound.  Each bound
     vector is recomputed when its row is visited, so memory stays at
-    O(rows + TILE^2).  Returns the best key and the ratios computed.
+    O(n / TILE + TILE^2).  Returns the best key and the ratios computed,
+    whole tiles counted.
     """
-    tops = np.array([bounds(i).max() for i in range(rows)] or [-np.inf])
+    def row(i):
+        r0, r1 = i * TILE, min(i * TILE + TILE, n)
+        c_lo, c_hi = extent(r0, r1)
+        c0 = np.arange(c_lo, c_hi, TILE)
+        c1 = np.minimum(c0 + TILE, c_hi)
+        return r0, r1, c0, c1, bounds(r0, r1, c0, c1)
+
+    tops = np.array([row(i)[-1].max(initial=-np.inf) for i in range(-(-n // TILE))])
     pairs = 0
     # each visited bound is set to -inf; the best ratio is at least the
     # seed's, which is finite, so both loops end
-    while (-tops.max(), *low) < best:
+    while (-tops.max(initial=-np.inf), *low) < best:
         i = int(np.argmax(tops))
         tops[i] = -np.inf
-        ub = bounds(i)
-        while (-ub.max(), *low) < best:
+        r0, r1, c0, c1, ub = row(i)
+        while (-ub.max(initial=-np.inf), *low) < best:
             j = int(np.argmax(ub))
             ub[j] = -np.inf
-            best, done = evaluate(i, j, best)
-            pairs += done
+            c0j, c1j = int(c0[j]), int(c1[j])
+            best = min(best, evaluate(r0, r1, c0j, c1j, best))
+            pairs += (r1 - r0) * (c1j - c0j)
     return best, pairs
 
 
@@ -146,15 +161,17 @@ def morrey_norm_exact(f, params):
     segment to a nonzero segment, and the full circle; ties are broken by
     smallest measure, then smallest start index, then smallest end index,
     and the full circle, the only whole-circle candidate, is seeded first.
-    Raises NonFiniteNumber if the integral of |f|^p is not finite.
+    Raises NonFiniteNumber if the integral of |f|^p is not finite, or if
+    the supremum is not: it rounds to inf when a segment's measure, a
+    difference of cumulative sums, rounds to 0 while its integral does not.
     """
     p, lam = params.p, params.lam
     bps = f.breakpoints
     lens = gap_lengths(bps)
     with np.errstate(over="ignore"):    # overflow shows in the total below
         dens = np.abs(f.values) ** p
+        total = _finite(float(np.dot(dens, lens) / tau))
     k = len(lens)
-    total = _finite_total(float(np.dot(dens, lens) / tau))
 
     if lam == 0.0:
         whole = Arc.from_endpoints(float(bps[0]), float(bps[0]))
@@ -178,24 +195,14 @@ def morrey_norm_exact(f, params):
     with np.errstate(divide="ignore", invalid="ignore"):
         dead = np.isnan((ci_end[:n] - ci[nz]) / step ** lam)
 
-    def tile(i, j):
-        p0 = i * TILE
-        p1 = min(p0 + TILE, n)
-        q0 = p0 + j * TILE
-        return p0, p1, q0, min(q0 + TILE, p1 - 1 + span)
-
-    def bounds(i):
-        p0, p1, _, _ = tile(i, 0)
-        q0 = np.arange(p0, p1 - 1 + span, TILE)
-        q1 = np.append(q0[1:], p1 - 1 + span) - 1
+    def bounds(p0, p1, q0, q1):
         mlo = cm_end[q0] - cm[nz[p1 - 1]]
         # a pair (pos, q) has q >= pos, so its measure is at least step[pos]
         shortest = step[p0 + int(np.argmin(step[p0:p1]))]
         mlo[mlo < shortest] = shortest
-        return _ratio_bound(ci_end[q1] - ci[nz[p0]], mlo, lam)
+        return _ratio_bound(ci_end[q1 - 1] - ci[nz[p0]], mlo, lam)
 
-    def evaluate(i, j, best):
-        p0, p1, q0, q1 = tile(i, j)
+    def evaluate(p0, p1, q0, q1, best):
         s = nz[p0:p1, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             m = cm_end[q0:q1] - cm[s]
@@ -206,23 +213,22 @@ def morrey_norm_exact(f, params):
         r[dead[p0:p1]] = -np.inf
         top = r.max()
         if top < -best[0]:
-            return best, r.size
+            return best
         # row-major order within the tile is (start, end) order
         a, b = divmod(int(np.argmin(np.where(r == top, m, np.inf))), q1 - q0)
-        key = (-float(top), float(m[a, b]), int(s[a, 0]), int(ends[q0 + b]))
-        return min(best, key), r.size
+        return -float(top), float(m[a, b]), int(s[a, 0]), int(ends[q0 + b])
 
-    rows = -(-n // TILE) if span > 0 else 0
-    (neg_r, _, i, j), pairs = _best_first(rows, bounds, evaluate, (-total, 1.0, 0, k),
-                                          (0.0, 0, 0))
+    (neg_r, _, i, j), pairs = _best_first(n, lambda p0, p1: (p0, p1 - 1 + span), bounds,
+                                          evaluate, (-total, 1.0, 0, k), (0.0, 0, 0))
+    _finite(-neg_r, "supremum of the Morrey ratio")
     arc = Arc.from_endpoints(float(bps[i]), float(bps[j % k]))
     return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs)
 
 
-def _finite_total(total):
-    if not math.isfinite(total):
-        raise NonFiniteNumber(f"integral of |f|^p over the circle is {total}")
-    return total
+def _finite(x, what="integral of |f|^p over the circle"):
+    if not math.isfinite(x):
+        raise NonFiniteNumber(f"{what} is {x}")
+    return x
 
 
 def grid_search(f, params, refinement):
@@ -250,20 +256,14 @@ def grid_search(f, params, refinement):
     with np.errstate(over="ignore"):    # overflow shows in the total below
         dens = np.abs(f.values) ** p
     contrib = dens[idx] * gap_lengths(pts) / tau
-    total = _finite_total(float(np.sum(contrib)))
+    total = _finite(float(np.sum(contrib)))
     npts = len(pts)
     pre = np.concatenate(([0.0], np.cumsum(contrib)))[:npts]
     # the forward arc from a to a + 1 is the shortest one starting at a
     step = (np.append(pts[1:], np.inf) - pts) / tau
 
-    def tile(i, j):
-        return i * TILE, min(i * TILE + TILE, npts), j * TILE, min(j * TILE + TILE, npts)
-
-    def bounds(i):
-        a0, a1, _, _ = tile(i, 0)
-        b0 = np.arange(0, npts, TILE)
-        b1 = np.append(b0[1:], npts) - 1
-        ihi = pre[b1] - pre[a0]
+    def bounds(a0, a1, b0, b1):
+        ihi = pre[b1 - 1] - pre[a0]
         lo = (pts[b0] - pts[a1 - 1]) / tau
         # pairs with b > a do not wrap (a measure that rounds to 0 becomes
         # 1.0, above any bound used here); pairs with b < a wrap and add
@@ -271,22 +271,21 @@ def grid_search(f, params, refinement):
         shortest = step[a0 + int(np.argmin(step[a0:a1]))]
         fwd = _ratio_bound(ihi, np.where(lo < shortest, shortest, lo), lam)
         wrap = _ratio_bound(ihi + total, lo + 1.0, lam)
-        fwd[pts[b1] <= pts[a0]] = -np.inf
+        fwd[pts[b1 - 1] <= pts[a0]] = -np.inf
         wrap[pts[b0] >= pts[a1 - 1]] = -np.inf
         return np.where(fwd > wrap, fwd, wrap)
 
-    def evaluate(i, j, best):
-        a0, a1, b0, b1 = tile(i, j)
+    def evaluate(a0, a1, b0, b1, best):
         integ = pre[b0:b1] - pre[a0:a1, None]
         integ[pts[b0:b1] < pts[a0:a1, None]] += total
         meas = (pts[b0:b1] - pts[a0:a1, None]) / tau
         meas[meas <= 0] += 1.0
         ratio = integ / meas ** lam
         a, b = divmod(int(np.argmax(ratio)), b1 - b0)
-        return min(best, (-float(ratio[a, b]), a0 + a, b0 + b)), ratio.size
+        return -float(ratio[a, b]), a0 + a, b0 + b
 
-    rows = -(-npts // TILE)
-    (neg_r, a, b), pairs = _best_first(rows, bounds, evaluate, (-total, -1, -1), (0, 0))
+    (neg_r, a, b), pairs = _best_first(npts, lambda a0, a1: (0, npts), bounds, evaluate,
+                                       (-total, -1, -1), (0, 0))
     # the seed's index -1 reads bps[0]: the whole circle, as in the exact scan
     arc = Arc.from_endpoints(*np.append(pts, bps[0])[[a, b]].tolist())
     return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs)

@@ -113,6 +113,15 @@ def test_norm_overflowing_power_is_clean_error(runner, tmp_path, method):
     assert isinstance(res.exception, SystemExit)
     assert "Error: integral of |f|^p over the circle is inf" in res.output
 
+def test_norm_supremum_rounding_to_inf_is_clean_error(runner, tmp_path):
+    # the spike's measure rounds to 0 in the exact scan, its integral does not
+    path = tmp_path / "spike.json"
+    path.write_text(json.dumps({"breakpoints_rad": [-1, 0, 1e-300], "values": [0, 1e300, 0]}))
+    res = runner.invoke(main, ["norm", "--input", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: supremum of the Morrey ratio is inf")
+
 def test_out_to_missing_directory_is_clean_error(runner, tmp_path):
     path = _write(tmp_path / "c.json", make_step([0.0], [2.0]))
     out = str(tmp_path / "missing" / "out.csv")

@@ -74,6 +74,18 @@ def test_ratio_overflowing_power_raises_without_warning():
     assert r == pytest.approx(2.0 ** 2.5 * (0.5 / tau) ** 0.5, rel=1e-14)
 
 
+def test_overflowing_sum_raises_without_warning():
+    # each |v|^p * length is finite, but their sum is not
+    f = make_step([0.0, 1.0, 2.0], [1e154, 1e154, 0.0])
+    mp = MorreyParams(2.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteNumber):
+            morrey_ratio(f, Arc(0.0, 2.0), mp)
+        with pytest.raises(NonFiniteNumber, match="integral"):
+            morrey_norm_exact(f, mp)
+
+
 # --- exact norm ---
 
 def test_norm_constant_attains_full_circle():
@@ -295,7 +307,14 @@ def test_exact_scan_matches_per_start_reference(rng):
     cases += [_step_with_tiny_segment(rng, int(rng.integers(3, 100))) for _ in range(40)]
     for c, f in enumerate(cases):
         mp = MorreyParams((1.0, 2.5)[c % 2], (0.1, 0.5, 0.9, 0.0)[c % 4])
-        assert morrey_norm_exact(f, mp) == exact_scan(f, mp), (c, f)
+        want = exact_scan(f, mp)
+        if math.isfinite(want.ratio_sup):
+            assert morrey_norm_exact(f, mp) == want, (c, f)
+        else:
+            # a tiny segment whose measure rounds to 0 while its integral
+            # does not sends the supremum to inf
+            with pytest.raises(NonFiniteNumber, match="supremum"):
+                morrey_norm_exact(f, mp)
 
 
 def test_exact_scan_finds_a_short_heavy_segment_inside_a_tile():
@@ -332,6 +351,16 @@ def test_exact_scan_evaluates_few_pairs_on_g():
     nnz = sum(1 for v in g.values if v != 0.0)
     res = morrey_norm_exact(g, MorreyParams(1.0, 0.5))
     assert 0 < res.pairs < 0.02 * nnz * nnz
+
+
+def test_pairs_count_whole_tiles_cut_at_the_extent():
+    # one tile each, and it holds the winner: the exact scan pairs its 3
+    # nonzero starts with the 2 * 3 - 1 ends a start can reach, the grid
+    # its 11 points (the uniform 8 and the breakpoints -2, -1, 1) with all 11
+    f = make_step([-2.0, -1.0, 0.0, 1.0], [1.0, 2.0, 3.0, 0.0])
+    mp = MorreyParams(1.0, 0.5)
+    assert morrey_norm_exact(f, mp).pairs == 3 * 5
+    assert grid_search(f, mp, 8).pairs == 11 * 11
 
 
 def test_grid_scan_matches_per_start_reference(rng):
