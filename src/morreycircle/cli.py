@@ -108,6 +108,11 @@ def equimeasurable(input_path, input2_path, tol):
     sys.exit(0 if verdict else 1)
 
 
+# counterexample's largest --n: f, g and the exact scan on g take about 300
+# B per block (308 MB peak RSS at --n 1000000)
+MAX_N = 10 ** 7
+
+
 def _n_schedule(n_max):
     sched = []
     v = 100
@@ -122,7 +127,10 @@ def _n_schedule(n_max):
 @click.option("--p", default=1.0, show_default=True)
 @click.option("--lambda", "lam", default=0.5, show_default=True)
 @click.option("--eps", default=0.2, show_default=True)
-@click.option("--n", "--N", "n_max", default=1000, show_default=True)
+@click.option("--n", "--N", "n_max", default=1000, show_default=True,
+              type=click.IntRange(max=MAX_N),
+              help="g's last block. Memory grows by about 300 B per block "
+                   "(0.3 GB at 1e6), so the cap keeps it near 3 GB.")
 @click.option("--t-grid", default="1e-2,1e-3,1e-4", show_default=True,
               help="Comma-separated prefix-arc lengths.")
 @click.option("--tail-tol", default=1e-8, show_default=True)

@@ -10,14 +10,18 @@ lambda*(C+A*s) is increasing in s), so interior stationary points are
 minima and every rectangle of partial-coverage lengths is maximized at
 a corner.  The optimizer therefore takes arcs made of whole segments,
 read off circular prefix sums, plus the full circle.  It and the grid
-oracle share one scan over (start, end) pairs cut into square tiles:
-each tile is bounded from the corner values of the prefix sums and the
-tiles are visited best bound first, so only the few tiles whose bound
-reaches the best ratio found are evaluated (see _best_first).
+oracle share one scan over (start, end) pairs cut into square tiles,
+grouped TILE x TILE into super-tiles.  Rectangles of pairs are bounded
+from the corner values of the prefix sums, all super-tiles of a block of
+rows or all tiles of a super-tile in one call, and visited best bound
+first, so only the few super-tiles and tiles whose bound reaches the
+best ratio found are split or evaluated (see _best_first).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from math import tau
@@ -59,6 +63,8 @@ class NormResult:
     argmax: Arc
     # (start, end) pairs whose ratio the scan computed, whole tiles counted
     pairs: int = field(default=0, compare=False)
+    # rectangles of pairs the scan bounded: super-tiles and tiles
+    bounded: int = field(default=0, compare=False)
 
 
 def morrey_ratio(f, arc, params):
@@ -99,57 +105,111 @@ def _ratio_bound(ihi, mlo, lam):
     return ub
 
 
+def _row_min(a, r0, r1):
+    """Minimum of a over each of the consecutive row ranges [r0[i], r1[i])
+    of a bounds call, as an (R, 1) array."""
+    lo = int(r0[0, 0])
+    return np.minimum.reduceat(a[lo:int(r1[-1, 0])], r0[:, 0] - lo)[:, None]
+
+
 def _best_first(n, extent, bounds, evaluate, best, low):
     """Smallest pair key of a tiled scan, visiting tiles best bound first.
 
-    The kernel owns the tiling: it cuts rows 0..n-1 into TILE-row tiles,
-    and the columns [c_lo, c_hi) = ``extent(r0, r1)`` of row tile [r0, r1)
-    into TILE-column tiles [c0[j], c1[j]).  ``bounds(r0, r1, c0, c1)``
-    returns an upper bound on the ratios of each column tile's pairs, and
-    ``evaluate(r0, r1, c0[j], c1[j], best)`` the smallest key of one tile's
-    pairs, or ``best`` once it sees that none is below it.  A key is a
-    tuple: minus the ratio, then a tail at or above ``low`` for every pair.
-    Rows are visited in decreasing order of their largest bound and a row's
-    tiles in decreasing bound order; a row, and then the scan, stops at the
-    first bound U with (-U, *low) not below the best key, since no pair of
-    such a tile can win.  So a tile whose bound ties the best ratio is
-    evaluated, as a tie may win on the tail, unless the best key's tail is
-    below ``low``, as a seed's can be.
+    The kernel owns the tiling.  It cuts rows 0..n-1 into TILE-row tiles,
+    and the columns [c_lo, c_hi) = ``extent(r0, r1)`` of row tile [r0, r1),
+    which must not be empty, into TILE-column tiles; ``extent`` takes
+    (R, 1) arrays of row tiles.  TILE row tiles make a block, and the tiles
+    numbered TILE * J to TILE * J + TILE - 1 in each of a block's row tiles
+    make its super-tile J.  ``evaluate(r0, r1, c0, c1, best)`` returns the
+    smallest key of one tile's pairs, or ``best`` once it sees that none is
+    below it.  A key is a tuple: minus the ratio, then a tail at or above
+    ``low`` for every pair.
+
+    ``bounds(r0, r1, c0, c1)`` bounds a grid of rectangles in one call: r0
+    and r1 are (R, 1) arrays of row ranges, each ending where the next
+    begins, c0 and c1 (R, C) arrays of column ranges, and entry [i, j] of
+    the result is an upper bound on the ratios of the pairs in rows
+    [r0[i], r1[i]) x columns [c0[i, j], c1[i, j]).
+
+    The search is best-first branch and bound on two levels (Land & Doig
+    1960; Lawler & Wood 1966).  Each block bounds, in one call, every row
+    tile's part of each of its super-tiles, and a super-tile's bound is the
+    largest of its parts; a visited super-tile bounds all of its tiles in
+    one call.  Of either call only the rectangles whose bound U may still
+    win, with (-U, *low) below the best key, are kept, in decreasing order
+    of U, as a cursor: one per block over its super-tiles, one per visited
+    super-tile over its tiles.  One heap holds the cursors, keyed by their
+    next bound.  The scan pops the largest bound: a super-tile gets a
+    cursor, a tile is evaluated.  It stops at the first bound U with (-U,
+    *low) not below the best key, since no pair under it can win.  So a
+    tile whose bound ties the best ratio is evaluated, as a tie may win on
+    the tail, unless the best key's tail is below ``low``, as a seed's can
+    be.
 
     A scan's ``bounds`` must be sound on any rectangle of rows x columns,
-    not only on these tiles, so that the kernel alone chooses the
-    rectangles it bounds.  Both scans' bounds are: they read the corner
-    values of cumulative sums of nonnegative terms, which are monotone in
-    floating point, through subtractions, additions of a constant and
-    divisions by tau, which are monotone under round-to-nearest, and clamp
-    the measure by the shortest single-step arc of the rows; the only
-    non-monotone step, ** lam, is covered by _ratio_bound.  Each bound
-    vector is recomputed when its row is visited, so memory stays at
-    O(n / TILE + TILE^2).  Returns the best key and the ratios computed,
-    whole tiles counted.
+    not only on tiles, so that the kernel alone chooses the rectangles it
+    bounds.  Both scans' bounds are: they read the corner values of
+    cumulative sums of nonnegative terms, which are monotone in floating
+    point, through subtractions, additions of a constant and divisions by
+    tau, which are monotone under round-to-nearest, and clamp the measure
+    by the shortest single-step arc of each row range; the only
+    non-monotone step, ** lam, is covered by _ratio_bound.  Bound work is
+    O(n^2 / TILE^3) for the blocks plus TILE^2 per visited super-tile.  A
+    cursor keeps its rectangles' bounds and cuts, not the matrices they
+    came from, so memory is O(n^2 / TILE^4) for the block cursors plus
+    O(TILE^2) per visited super-tile, beyond O(n / TILE) for the row tiles
+    and for one block's call.  Returns the best key, the ratios
+    computed, whole tiles counted, and the rectangles bounded.
     """
-    def row(i):
-        r0, r1 = i * TILE, min(i * TILE + TILE, n)
-        c_lo, c_hi = extent(r0, r1)
-        c0 = np.arange(c_lo, c_hi, TILE)
-        c1 = np.minimum(c0 + TILE, c_hi)
-        return r0, r1, c0, c1, bounds(r0, r1, c0, c1)
+    r0 = np.arange(0, n, TILE)[:, None]
+    r1 = np.minimum(r0 + TILE, n)
+    c_lo, c_hi = (np.broadcast_to(c, r0.shape) for c in extent(r0, r1))
+    heap, tick = [], itertools.count()
+    pairs = bounded = 0
 
-    tops = np.array([row(i)[-1].max(initial=-np.inf) for i in range(-(-n // TILE))])
-    pairs = 0
-    # each visited bound is set to -inf; the best ratio is at least the
-    # seed's, which is finite, so both loops end
-    while (-tops.max(initial=-np.inf), *low) < best:
-        i = int(np.argmax(tops))
-        tops[i] = -np.inf
-        r0, r1, c0, c1, ub = row(i)
-        while (-ub.max(initial=-np.inf), *low) < best:
-            j = int(np.argmax(ub))
-            ub[j] = -np.inf
-            c0j, c1j = int(c0[j]), int(c1[j])
-            best = min(best, evaluate(r0, r1, c0j, c1j, best))
-            pairs += (r1 - r0) * (c1j - c0j)
-    return best, pairs
+    def bound(rows, cols, side):
+        # bounds and cuts of the side-wide column tiles numbered cols of the
+        # row tiles rows; a tile past its row's extent gets the bound -inf,
+        # and cuts moved inside the extent so that bounds can read them
+        nonlocal bounded
+        c0 = c_lo[rows] + side * cols
+        live = c0 < c_hi[rows]
+        c0 = np.minimum(c0, c_hi[rows] - 1)
+        c1 = np.minimum(c0 + side, c_hi[rows])
+        ub = bounds(r0[rows], r1[rows], c0, c1)
+        ub[~live] = -np.inf
+        bounded += int(live.sum())
+        return ub, c0, c1
+
+    def push(level, ub, *item):
+        # a cursor over the rectangles whose bound may still win
+        shape, ub = ub.shape, ub.ravel()
+        keep = np.flatnonzero((ub > -best[0]) | ((ub == -best[0]) & (low < best[1:])))
+        keep = keep[np.argsort(-ub[keep], kind="stable")]
+        if keep.size:
+            cur = (ub[keep], *(np.broadcast_to(x, shape).ravel()[keep] for x in item))
+            heapq.heappush(heap, (-float(cur[0][0]), next(tick), 0, level, cur))
+
+    for b in range(0, len(r0), TILE):
+        rows = slice(b, b + TILE)
+        sup = np.arange(-(-int((c_hi[rows] - c_lo[rows]).max()) // (TILE * TILE)))
+        push(1, bound(rows, sup, TILE * TILE)[0].max(axis=0), b, sup)
+
+    while heap and (heap[0][0], *low) < best:
+        _, _, pos, level, cur = heapq.heappop(heap)
+        if pos + 1 < len(cur[0]):
+            heapq.heappush(heap, (-float(cur[0][pos + 1]), next(tick), pos + 1, level, cur))
+        if level:
+            b, sup = int(cur[1][pos]), int(cur[2][pos])
+            rows = slice(b, b + TILE)
+            ub, c0, c1 = bound(rows, TILE * sup + np.arange(TILE), TILE)
+            push(0, ub, np.arange(b, b + len(ub))[:, None], c0, c1)
+        else:
+            i, c0, c1 = (int(x[pos]) for x in cur[1:])
+            t0, t1 = int(r0[i, 0]), int(r1[i, 0])
+            best = min(best, evaluate(t0, t1, c0, c1, best))
+            pairs += (t1 - t0) * (c1 - c0)
+    return best, pairs, bounded
 
 
 def morrey_norm_exact(f, params):
@@ -196,10 +256,8 @@ def morrey_norm_exact(f, params):
         dead = np.isnan((ci_end[:n] - ci[nz]) / step ** lam)
 
     def bounds(p0, p1, q0, q1):
-        mlo = cm_end[q0] - cm[nz[p1 - 1]]
         # a pair (pos, q) has q >= pos, so its measure is at least step[pos]
-        shortest = step[p0 + int(np.argmin(step[p0:p1]))]
-        mlo[mlo < shortest] = shortest
+        mlo = np.maximum(cm_end[q0] - cm[nz[p1 - 1]], _row_min(step, p0, p1))
         return _ratio_bound(ci_end[q1 - 1] - ci[nz[p0]], mlo, lam)
 
     def evaluate(p0, p1, q0, q1, best):
@@ -218,11 +276,13 @@ def morrey_norm_exact(f, params):
         a, b = divmod(int(np.argmin(np.where(r == top, m, np.inf))), q1 - q0)
         return -float(top), float(m[a, b]), int(s[a, 0]), int(ends[q0 + b])
 
-    (neg_r, _, i, j), pairs = _best_first(n, lambda p0, p1: (p0, p1 - 1 + span), bounds,
-                                          evaluate, (-total, 1.0, 0, k), (0.0, 0, 0))
+    # with span 0 the one start has no end but the seed's whole circle
+    (neg_r, _, i, j), pairs, bounded = _best_first(
+        n if span else 0, lambda p0, p1: (p0, p1 - 1 + span), bounds, evaluate,
+        (-total, 1.0, 0, k), (0.0, 0, 0))
     _finite(-neg_r, "supremum of the Morrey ratio")
     arc = Arc.from_endpoints(float(bps[i]), float(bps[j % k]))
-    return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs)
+    return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs, bounded)
 
 
 def _finite(x, what="integral of |f|^p over the circle"):
@@ -268,8 +328,7 @@ def grid_search(f, params, refinement):
         # pairs with b > a do not wrap (a measure that rounds to 0 becomes
         # 1.0, above any bound used here); pairs with b < a wrap and add
         # total and 1.0; the pair b == a scores 0.0 and never wins
-        shortest = step[a0 + int(np.argmin(step[a0:a1]))]
-        fwd = _ratio_bound(ihi, np.where(lo < shortest, shortest, lo), lam)
+        fwd = _ratio_bound(ihi, np.maximum(lo, _row_min(step, a0, a1)), lam)
         wrap = _ratio_bound(ihi + total, lo + 1.0, lam)
         fwd[pts[b1 - 1] <= pts[a0]] = -np.inf
         wrap[pts[b0] >= pts[a1 - 1]] = -np.inf
@@ -277,18 +336,23 @@ def grid_search(f, params, refinement):
 
     def evaluate(a0, a1, b0, b1, best):
         integ = pre[b0:b1] - pre[a0:a1, None]
-        integ[pts[b0:b1] < pts[a0:a1, None]] += total
         meas = (pts[b0:b1] - pts[a0:a1, None]) / tau
-        meas[meas <= 0] += 1.0
+        # each mask is skipped where the tile's corner values prove it a
+        # no-op: no pair wraps, or the smallest measure is positive (a
+        # subnormal gap can still round to 0, hence the second test)
+        if pts[b0] <= pts[a1 - 1]:
+            integ[pts[b0:b1] < pts[a0:a1, None]] += total
+        if not (pts[b0] - pts[a1 - 1]) / tau > 0:
+            meas[meas <= 0] += 1.0
         ratio = integ / meas ** lam
         a, b = divmod(int(np.argmax(ratio)), b1 - b0)
         return -float(ratio[a, b]), a0 + a, b0 + b
 
-    (neg_r, a, b), pairs = _best_first(npts, lambda a0, a1: (0, npts), bounds, evaluate,
-                                       (-total, -1, -1), (0, 0))
+    (neg_r, a, b), pairs, bounded = _best_first(npts, lambda a0, a1: (0, npts), bounds,
+                                                evaluate, (-total, -1, -1), (0, 0))
     # the seed's index -1 reads bps[0]: the whole circle, as in the exact scan
     arc = Arc.from_endpoints(*np.append(pts, bps[0])[[a, b]].tolist())
-    return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs)
+    return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs, bounded)
 
 
 def morrey_norm_grid(f, params, refinement):

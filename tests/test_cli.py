@@ -275,6 +275,19 @@ def test_counterexample_rejects_small_n(runner):
     assert res.exit_code != 0
 
 
+def test_counterexample_refuses_n_above_the_cap_before_building(runner, monkeypatch):
+    def refuse(params, n):
+        raise AssertionError(f"built a pair at N={n}")
+
+    monkeypatch.setattr(cli, "build_f", refuse)
+    monkeypatch.setattr(cli, "build_g", refuse)
+    res = runner.invoke(main, ["counterexample", "--n", str(cli.MAX_N + 1)])
+    assert res.exit_code == 2
+    assert "Invalid value for '--n'" in res.output
+    assert f"x<={cli.MAX_N}" in res.output
+    assert f"x<={cli.MAX_N}" in runner.invoke(main, ["counterexample", "--help"]).output
+
+
 def test_counterexample_output_deterministic(runner, tmp_path):
     args = ["counterexample", "--n", "120", "--t-grid", "1e-2"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from math import pi, tau
 
@@ -361,6 +362,62 @@ def test_pairs_count_whole_tiles_cut_at_the_extent():
     mp = MorreyParams(1.0, 0.5)
     assert morrey_norm_exact(f, mp).pairs == 3 * 5
     assert grid_search(f, mp, 8).pairs == 11 * 11
+
+
+def test_bound_work_grows_far_slower_than_the_tiles_on_g():
+    # a work count, identical on every host: bounding every tile of every
+    # row, rectangles bounded grew 99.5x from N=1e4 to 1e5 (49141 to
+    # 4889062); bounding super-tiles first, about 16x
+    prm, mp = validate_params(1.0, 0.5, 0.2), MorreyParams(1.0, 0.5)
+    small, big = (morrey_norm_exact(build_g(prm, n), mp).bounded for n in (10_000, 100_000))
+    assert 0 < big < 20 * small
+
+
+def test_exact_scan_memory_stays_flat_on_g():
+    # the cursors keep the tiles that may still win, not the bound matrices
+    # they came from; keeping the matrices traced a 7.8 MB peak here
+    g = build_g(validate_params(1.0, 0.5, 0.2), 30_000)
+    tracemalloc.start()
+    try:
+        morrey_norm_exact(g, MorreyParams(1.0, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.6e6
+
+
+@pytest.mark.parametrize("nnz", [4095, 4096, 4097])
+def test_exact_scan_matches_reference_across_block_edges(rng, nnz):
+    # a block is 64 row tiles of 64 starts: these nnz make one block whose
+    # last row tile is one start short, one full block, and a second block
+    # of one start; the winner, a heavy last segment, is the last start's
+    bps = np.unique(rng.uniform(-pi, pi, size=nnz + 300))
+    vals = rng.uniform(0.5, 10.0, size=len(bps))
+    vals[rng.choice(len(bps) - 1, size=len(bps) - nnz, replace=False)] = 0.0
+    vals[-1] = 1e3
+    f = make_step(bps, vals)
+    mp = MorreyParams(1.0, 0.5)
+    res = morrey_norm_exact(f, mp)
+    assert res == exact_scan(f, mp)
+    assert res.argmax.start == bps[-1]
+
+
+@pytest.mark.parametrize("refinement", [4095, 4096, 4097])
+def test_grid_scan_matches_reference_across_block_edges(rng, refinement):
+    # f's breakpoints are grid points, so the scan has exactly `refinement`
+    # start points: one block one short, one full block, and one more; the
+    # winner, a heavy first cell, wraps from the last start point, pi
+    grid = -pi + tau * np.arange(1, refinement + 1) / refinement
+    bps = np.concatenate(([-pi, grid[0]], np.sort(rng.choice(grid[1:-1], 10, replace=False))))
+    assert len(np.union1d(np.append(bps[1:], pi), grid)) == refinement
+    vals = rng.uniform(0.0, 10.0, size=12)
+    vals[2::4] = 0.0
+    vals[0] = 1e3
+    f = make_step(bps, vals)
+    mp = MorreyParams(1.0, 0.5)
+    res = grid_search(f, mp, refinement)
+    assert res == grid_scan(f, mp, refinement)
+    assert res.argmax.start == pi
 
 
 def test_grid_scan_matches_per_start_reference(rng):
