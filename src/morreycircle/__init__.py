@@ -10,11 +10,9 @@ from importlib import import_module
 _EXPORTS = {
     "circle_step": (
         "Arc",
-        "DistributionSummary",
         "StepFunction",
         "constant",
         "decreasing_rearrangement",
-        "distribution",
         "equimeasurable",
         "indicator",
         "integral_p",

@@ -9,9 +9,10 @@ past the cut for the last one); and the segments' angular ``lengths``.
 
 By default lengths are the breakpoint differences (each a single IEEE
 subtraction, hence correctly rounded); internal constructors may supply
-lengths that are consistent within one ulp, which lets distribution
-computations stay bit-for-bit stable under rotation and rearrangement.
-Only that side reads them; integrals and Morrey suprema measure arcs by
+lengths that are consistent within one ulp, which keeps _grouped, the
+summary of |f| by magnitude behind equimeasurable and the decreasing
+rearrangement, bit-for-bit stable under rotation and rearrangement.
+Only _grouped reads them; integrals and Morrey suprema measure arcs by
 breakpoint gaps, which gap_lengths, the one gap routine, computes.
 """
 
@@ -240,23 +241,6 @@ def integral_p(f, arc, p):
     return s / tau
 
 
-@dataclass(frozen=True)
-class DistributionSummary:
-    """Multiset of (|value|, measure) pairs, magnitudes strictly decreasing.
-
-    The measures of the listed entries sum to at most 1; the remainder
-    ``zero_measure`` is the measure of the set where |f| = 0.
-    """
-
-    entries: tuple          # ((magnitude, measure), ...) sorted descending
-    zero_measure: float
-    radian_lengths: tuple = ()   # aggregated angular length per entry
-
-    def measure_above(self, t):
-        """m{ |f| > t }, exact at every threshold t >= 0."""
-        return fsum(meas for mag, meas in self.entries if mag > t)
-
-
 def _grouped(f):
     """|f|'s nonzero magnitudes, decreasing, their summed angular lengths and
     measures, and the zero set's measure.  Lengths are summed by fsum, so the
@@ -275,13 +259,6 @@ def _grouped(f):
         radians[g] = fsum(lens[heads[g]:tails[g]].tolist())
     meas = radians / tau
     return mags[heads], radians, meas, max(0.0, 1.0 - fsum(meas.tolist()))
-
-
-def distribution(f):
-    """Aggregate |f| into a DistributionSummary of Python floats."""
-    mags, radians, meas, zero = _grouped(f)
-    return DistributionSummary(tuple(zip(mags.tolist(), meas.tolist())), zero,
-                               tuple(radians.tolist()))
 
 
 def equimeasurable(f, g, tol=0.0):

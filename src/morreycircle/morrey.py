@@ -230,7 +230,8 @@ def morrey_norm_exact(f, params):
     lens = gap_lengths(bps)
     with np.errstate(over="ignore"):    # overflow shows in the total below
         dens = np.abs(f.values) ** p
-        total = _finite(float(np.dot(dens, lens) / tau))
+        # numpy's own sum: a BLAS dot's bits would follow its thread count
+        total = _finite(float(np.sum(dens * lens) / tau))
     k = len(lens)
 
     if lam == 0.0:

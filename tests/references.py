@@ -1,7 +1,7 @@
 """Plain reference implementations that the library's fast paths must match
 bit for bit: one start at a time for the two Morrey supremum scans, a dict
-of fsum buckets for the distribution, and loops over Python floats for
-building g, wrapping angles and laying out the decreasing rearrangement.
+of fsum buckets for grouping |f| by magnitude, and loops over Python floats
+for building g, wrapping angles and laying out the decreasing rearrangement.
 """
 
 import math
@@ -9,8 +9,7 @@ from math import fsum, pi, tau
 
 import numpy as np
 
-from morreycircle import (Arc, DistributionSummary, NormResult, StepFunction, constant,
-                          make_step, wrap_angle)
+from morreycircle import Arc, NormResult, StepFunction, constant, make_step, wrap_angle
 from morreycircle.errors import OverlapDetected, UnsortedBreakpoints
 
 
@@ -21,7 +20,7 @@ def exact_scan(f, params):
     lens = np.diff(np.append(bps, bps[0] + tau)) if len(bps) > 1 else np.array([tau])
     dens = np.abs(np.asarray(f.values)) ** p
     k = len(lens)
-    total = float(np.dot(dens, lens) / tau)
+    total = float(np.sum(dens * lens) / tau)
     whole = Arc.from_endpoints(f.breakpoints[0], f.breakpoints[0])
     if lam == 0.0:
         return NormResult(total ** (1.0 / p), total, whole)
@@ -78,8 +77,9 @@ def grid_scan(f, params, refinement):
     return NormResult(best_r ** (1.0 / p), best_r, arc)
 
 
-def distribution(f):
-    """circle_step.distribution, bucketing magnitudes in a dict."""
+def grouped(f):
+    """circle_step._grouped, bucketing magnitudes in a dict: the nonzero
+    magnitudes, decreasing, their fsummed lengths, and the zero set's measure."""
     buckets = {}
     for v, length in zip(f.values.tolist(), f.lengths.tolist()):
         mag = abs(v)
@@ -87,10 +87,9 @@ def distribution(f):
             continue
         buckets.setdefault(mag, []).append(length)
     mags = sorted(buckets, reverse=True)
-    radians = tuple(fsum(buckets[m]) for m in mags)
-    entries = tuple((m, rad / tau) for m, rad in zip(mags, radians))
-    zero = 1.0 - fsum(meas for _, meas in entries)
-    return DistributionSummary(entries, max(0.0, zero), radians)
+    radians = [fsum(buckets[m]) for m in mags]
+    zero = 1.0 - fsum(rad / tau for rad in radians)
+    return mags, radians, max(0.0, zero)
 
 
 def build_g(params, N):
@@ -134,17 +133,15 @@ def rotated(f, phi):
 
 def decreasing_rearrangement(f):
     """circle_step.decreasing_rearrangement, laying the cuts out one at a time."""
-    summary = distribution(f)
-    if not summary.entries:
+    mags, rads, zero = grouped(f)
+    if not mags:
         return constant(0.0)
-    mags = [m for m, _ in summary.entries]
-    rads = list(summary.radian_lengths)
     cuts = [0.0]
     for rad in rads:
         nxt = cuts[-1] + rad
         while nxt <= cuts[-1]:        # guard against underflow collisions
             nxt = math.nextafter(nxt, math.inf)
         cuts.append(nxt)
-    if summary.zero_measure > 0.0 and cuts[-1] < tau:
+    if zero > 0.0 and cuts[-1] < tau:
         return circular(cuts, mags + [0.0], rads + [tau - cuts[-1]])
     return circular(cuts[:-1], mags, rads)

@@ -10,7 +10,6 @@ from morreycircle import (
     StepFunction,
     constant,
     decreasing_rearrangement,
-    distribution,
     equimeasurable,
     indicator,
     integral_p,
@@ -31,7 +30,6 @@ from morreycircle.errors import (
 
 import references
 from conftest import random_step
-from references import distribution as distribution_reference
 
 
 PRM = validate_params(1.0, 0.5, 0.2)
@@ -186,58 +184,26 @@ def test_integral_matches_segment_loop_on_rotated_g(rng, p):
 # --- distribution ---
 
 def test_distribution_zero_function():
-    d = distribution(constant(0.0))
-    assert d.entries == ()
-    assert d.zero_measure == 1.0
+    assert decreasing_rearrangement(constant(0.0)) == constant(0.0)
 
 def test_distribution_quarter_indicator():
-    d = distribution(indicator(Arc(0.0, tau / 4.0)))
-    assert len(d.entries) == 1
-    mag, meas = d.entries[0]
-    assert mag == 1.0
-    assert meas == pytest.approx(0.25, abs=1e-15)
-    assert d.zero_measure == pytest.approx(0.75, abs=1e-15)
+    r = decreasing_rearrangement(indicator(Arc(0.0, tau / 4.0)))
+    assert r.values.tolist() == [1.0, 0.0]
+    mass, zero = (r.lengths / tau).tolist()
+    assert mass == pytest.approx(0.25, abs=1e-15)
+    assert zero == pytest.approx(0.75, abs=1e-15)
 
 def test_distribution_support_measure_approaches_limit():
     # telescoping: support measure at cutoff N is (1/16 - 1/(N+1)) / (2 pi)
     f = build_f(PRM, 10 ** 5)
-    d = distribution(f)
-    support = sum(m for _, m in d.entries)
+    support = math.fsum(f.lengths[f.values != 0.0].tolist()) / tau
     assert support == pytest.approx((1.0 / 16 - 1.0 / (10 ** 5 + 1)) / tau, rel=1e-9)
     assert abs(support - 1.0 / (32 * pi)) < 2e-6
-
-def test_distribution_matches_dict_reference(rng):
-    cases = [build_f(PRM, 1000), build_g(PRM, 1000), constant(0.0), constant(-2.0)]
-    for c in range(400):
-        f = random_step(rng, max_segments=60)
-        if c % 2:
-            # few magnitudes, both signs: most groups hold several segments
-            vals = rng.choice([-3.0, -1.5, -0.0, 0.0, 1.5, 2.0, 3.0, 7.25], len(f.values))
-            f = make_step(f.breakpoints, vals.tolist())
-        cases.append(f)
-    for f in cases:
-        got = distribution(f)
-        assert got == distribution_reference(f)
-        assert all(type(x) is float for e in got.entries for x in e)
-        assert all(type(x) is float for x in got.radian_lengths)
 
 def test_distribution_rotation_invariant_exactly(rng):
     for _ in range(25):
         f = random_step(rng)
-        g = f.rotated(rng.uniform(-10, 10))
-        assert distribution(f).entries == distribution(g).entries
-
-def test_measure_above_step_structure(rng):
-    f = random_step(rng)
-    d = distribution(f)
-    mags = [m for m, _ in d.entries]
-    # nonincreasing in t, right-continuous at every magnitude level
-    probes = sorted(set(mags + [0.0] + [m * 1.0000001 for m in mags]))
-    vals = [d.measure_above(t) for t in probes]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    for m in mags:
-        eps = m * 1e-12
-        assert d.measure_above(m) == d.measure_above(m + eps)
+        assert equimeasurable(f, f.rotated(rng.uniform(-10, 10)), 0.0)
 
 
 # --- equimeasurability ---
@@ -272,15 +238,16 @@ def test_counterexample_pair_equimeasurable_at_zero_tolerance():
 
 def test_rearrangement_of_constant():
     r = decreasing_rearrangement(constant(-2.5))
-    assert r.values == (2.5,)
+    assert r.values.tolist() == [2.5]
+    assert r.breakpoints.tolist() == [0.0]
+    assert r.lengths.tolist() == [tau]
 
 def test_rearrangement_of_indicator_starts_at_zero():
     s = 0.3
     r = decreasing_rearrangement(indicator(Arc(1.2, s * tau)))
     assert r.breakpoints[0] == 0.0
     assert r.values[0] == 1.0
-    d = distribution(r)
-    assert d.entries[0][1] == pytest.approx(s, rel=1e-12)
+    assert r.lengths[0] / tau == pytest.approx(s, rel=1e-12)
 
 def test_rearrangement_counterexample_g_sorted_blocks():
     n_top = 20
@@ -342,6 +309,20 @@ def test_rotation_and_rearrangement_match_references(rng):
             vals = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], len(f.values))
             f = make_step(f.breakpoints, vals)
         cases.append((f, [*angles, float(rng.uniform(-10.0, 10.0))]))
+    # unturned: the pair at N=1000, two constants, two functions with no zero
+    # set whose zero measure fsums to 0 and to 1.1e-16 (so only the second
+    # lays a zero segment), and longer random functions
+    cases += [(f, [0.0]) for f in (build_f(PRM, 1000), build_g(PRM, 1000),
+                                   constant(0.0), constant(-2.0),
+                                   make_step([-3.0, -2.7, -1.1], [1.0, 3.0, 2.0]),
+                                   make_step([-3.1, -3.0, 1.6], [2.0, 3.0, 1.0]))]
+    for c in range(400):
+        f = random_step(rng, max_segments=60)
+        if c % 2:
+            # few magnitudes, both signs: most groups hold several segments
+            vals = rng.choice([-3.0, -1.5, -0.0, 0.0, 1.5, 2.0, 3.0, 7.25], len(f.values))
+            f = make_step(f.breakpoints, vals.tolist())
+        cases.append((f, [0.0]))
     for f, phis in cases:
         for phi in phis:
             try:

@@ -324,15 +324,34 @@ def _fresh_import_probe(env):
     return done.stdout.split()
 
 
-def test_cli_loads_numpy_with_one_blas_thread():
-    # the package alone imports no numpy, so the CLI can set the BLAS thread
-    # count before numpy loads; an explicit setting in the environment wins
+def _child_env():
+    """The environment, less any BLAS thread count, importing this package."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     src = os.path.dirname(os.path.dirname(morreycircle.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_loads_numpy_with_one_blas_thread():
+    # the package alone imports no numpy, so the CLI can set the BLAS thread
+    # count before numpy loads; an explicit setting in the environment wins
+    env = _child_env()
     assert _fresh_import_probe(env) == ["False", "1"]
     env["OPENBLAS_NUM_THREADS"] = "2"
     assert _fresh_import_probe(env) == ["False", "2"]
+
+
+def test_norm_output_independent_of_blas_threads(tmp_path):
+    # a threaded BLAS splits a long dot product by thread count, which would
+    # move the last bits of the whole circle's integral at N=1e4
+    path = _write(tmp_path / "g.json", build_g(validate_params(1.0, 0.5, 0.2), 10_000))
+    env, outs = _child_env(), []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "morreycircle.cli", "norm", "--input", path,
+             "--lambda", "0"], env=env, capture_output=True, text=True, check=True).stdout)
+    assert outs[0] == outs[1]
 
 
 def test_every_exported_name_resolves():
