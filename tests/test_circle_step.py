@@ -28,6 +28,8 @@ from morreycircle.errors import (
     UnsortedBreakpoints,
 )
 
+from morreycircle.circle_step import _grouped
+
 import references
 from conftest import random_step
 
@@ -200,6 +202,30 @@ def test_distribution_support_measure_approaches_limit():
     assert support == pytest.approx((1.0 / 16 - 1.0 / (10 ** 5 + 1)) / tau, rel=1e-9)
     assert abs(support - 1.0 / (32 * pi)) < 2e-6
 
+def test_distribution_matches_dict_reference(rng):
+    # the pair at N=1000, two constants, two functions with no zero set whose
+    # zero measure fsums to 0 and to 1.1e-16 (so only the second lays a zero
+    # segment in the rearrangement), and random functions
+    cases = [build_f(PRM, 1000), build_g(PRM, 1000), constant(0.0), constant(-2.0),
+             make_step([-3.0, -2.7, -1.1], [1.0, 3.0, 2.0]),
+             make_step([-3.1, -3.0, 1.6], [2.0, 3.0, 1.0])]
+    for c in range(400):
+        f = random_step(rng, max_segments=60)
+        if c % 2:
+            # few magnitudes, both signs: most groups hold several segments
+            vals = rng.choice([-3.0, -1.5, -0.0, 0.0, 1.5, 2.0, 3.0, 7.25], len(f.values))
+            f = make_step(f.breakpoints, vals.tolist())
+        cases.append(f)
+    for f in cases:
+        mags, radians, meas, zero = _grouped(f)
+        want_mags, want_radians, want_zero = references.grouped(f)
+        assert mags.tolist() == want_mags
+        assert radians.tolist() == want_radians
+        assert meas.tolist() == [r / tau for r in want_radians]
+        assert type(zero) is float and zero == want_zero
+        assert _same_bits(decreasing_rearrangement(f),
+                          references.decreasing_rearrangement(f))
+
 def test_distribution_rotation_invariant_exactly(rng):
     for _ in range(25):
         f = random_step(rng)
@@ -309,20 +335,6 @@ def test_rotation_and_rearrangement_match_references(rng):
             vals = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], len(f.values))
             f = make_step(f.breakpoints, vals)
         cases.append((f, [*angles, float(rng.uniform(-10.0, 10.0))]))
-    # unturned: the pair at N=1000, two constants, two functions with no zero
-    # set whose zero measure fsums to 0 and to 1.1e-16 (so only the second
-    # lays a zero segment), and longer random functions
-    cases += [(f, [0.0]) for f in (build_f(PRM, 1000), build_g(PRM, 1000),
-                                   constant(0.0), constant(-2.0),
-                                   make_step([-3.0, -2.7, -1.1], [1.0, 3.0, 2.0]),
-                                   make_step([-3.1, -3.0, 1.6], [2.0, 3.0, 1.0]))]
-    for c in range(400):
-        f = random_step(rng, max_segments=60)
-        if c % 2:
-            # few magnitudes, both signs: most groups hold several segments
-            vals = rng.choice([-3.0, -1.5, -0.0, 0.0, 1.5, 2.0, 3.0, 7.25], len(f.values))
-            f = make_step(f.breakpoints, vals.tolist())
-        cases.append((f, [0.0]))
     for f, phis in cases:
         for phi in phis:
             try:
