@@ -215,25 +215,39 @@ def integral_p(f, arc, p):
 
     The arc is placed at or after the first breakpoint, and each segment,
     together with its 2*pi translate, is overlapped with it; arcs through
-    the -pi/pi cut meet the translates.  The overlaps are taken over numpy
+    the -pi/pi cut meet the translates.  Only the segments the arc can
+    meet are read: those found by a binary search for the arc's ends,
+    and, once the arc passes the first breakpoint's translate, those whose
+    translates start before its end.  The overlaps are taken over numpy
     arrays, and the products |value|^p * overlap are summed by fsum.
     Raises NonFiniteNumber if |value|^p overflows on a segment the arc meets,
     or if the sum does.
     """
     if not (p >= 1 and math.isfinite(p)):
         raise POutOfRange(f"p must satisfy 1 <= p < inf, got {p}")
-    b0 = float(f.breakpoints[0])
+    bps = f.breakpoints
+    b0 = float(bps[0])
     a = b0 + ((arc.start - b0) % tau)
     hi = a + arc.length
-    starts = f.breakpoints
-    ends = np.append(starts[1:], b0 + tau)
-    ov = (np.maximum(0.0, np.minimum(ends, hi) - np.maximum(starts, a))
-          + np.maximum(0.0, np.minimum(ends + tau, hi) - np.maximum(starts + tau, a)))
-    hit = ov > 0.0
-    with np.errstate(over="ignore"):    # overflow shows in the sum below
-        terms = np.abs(f.values[hit]) ** p * ov[hit]
+    # b0 <= a <= hi; segments before lo end at or before a, and those from up
+    # on start at or after hi
+    lo = int(np.searchsorted(bps, a, side="right")) - 1
+    up = int(np.searchsorted(bps, hi, side="left"))
+    # a translate starting at or after the real hi - tau starts, rounded, at or
+    # after hi; nextafter bounds that real number from above
+    wrap = (0 if hi <= b0 + tau
+            else int(np.searchsorted(bps, math.nextafter(hi - tau, math.inf), side="left")))
+    terms = []
+    for i, j in ((0, wrap), (lo, up)) if wrap < lo else ((0, max(up, wrap)),):
+        starts = bps[i:j]
+        ends = bps[i + 1:j + 1] if j < len(bps) else np.append(bps[i + 1:], b0 + tau)
+        ov = (np.maximum(0.0, np.minimum(ends, hi) - np.maximum(starts, a))
+              + np.maximum(0.0, np.minimum(ends + tau, hi) - np.maximum(starts + tau, a)))
+        hit = ov > 0.0
+        with np.errstate(over="ignore"):    # overflow shows in the sum below
+            terms += (np.abs(f.values[i:j][hit]) ** p * ov[hit]).tolist()
     try:
-        s = fsum(terms.tolist())
+        s = fsum(terms)
     except OverflowError:   # fsum raises where a partial sum overflows
         s = math.inf
     if not math.isfinite(s):
@@ -243,9 +257,10 @@ def integral_p(f, arc, p):
 
 def _grouped(f):
     """|f|'s nonzero magnitudes, decreasing, their summed angular lengths and
-    measures, and the zero set's measure.  Lengths are summed by fsum, so the
-    result depends only on the multiset of (magnitude, length) pairs; fsum
-    of one length is that length.
+    measures, and the zero set's measure, 0.0 where no segment is zero (so
+    that measures summing to just below 1 lay no zero segment).  Lengths are
+    summed by fsum, so the result depends only on the multiset of
+    (magnitude, length) pairs; fsum of one length is that length.
     """
     mags = np.abs(f.values)
     keep = mags > 0.0
@@ -258,7 +273,8 @@ def _grouped(f):
     for g in np.flatnonzero(tails - heads > 1):
         radians[g] = fsum(lens[heads[g]:tails[g]].tolist())
     meas = radians / tau
-    return mags[heads], radians, meas, max(0.0, 1.0 - fsum(meas.tolist()))
+    zero = 0.0 if keep.all() else max(0.0, 1.0 - fsum(meas.tolist()))
+    return mags[heads], radians, meas, zero
 
 
 def equimeasurable(f, g, tol=0.0):

@@ -12,8 +12,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .circle_step import StepFunction, make_step
-from .errors import MorreyCircleError
+from .errors import MorreyCircleError, NonFiniteNumber
+
+# numbers formatted per write; a bound, so that no whole-file string is built
+_SLICE = 1024
 
 
 def load_step_function(path):
@@ -41,11 +46,26 @@ def load_step_function(path):
 
 
 def save_step_function(f: StepFunction, path):
-    doc = {
-        "breakpoints_rad": f.breakpoints.tolist(),
-        "values": f.values.tolist(),
-        "segment_lengths_rad": f.lengths.tolist(),
-    }
+    """Write f as ``json.dump(doc, fh, indent=2)`` and a newline would, byte
+    for byte (f has at least one segment), but without json's pure-Python
+    encoder, which ``indent`` selects.  Each number is formatted by
+    float.__repr__, json's own formatter for finite floats, _SLICE numbers
+    per write.  Raises NonFiniteNumber, before the file is opened, on an
+    entry that JSON cannot carry.
+    """
+    fields = (("breakpoints_rad", f.breakpoints), ("values", f.values),
+              ("segment_lengths_rad", f.lengths))
+    for name, xs in fields:
+        bad = np.flatnonzero(~np.isfinite(xs))
+        if bad.size:
+            raise NonFiniteNumber(f"{name} entry {float(xs[bad[0]])} is not finite")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        sep = "{\n"
+        for name, xs in fields:
+            fh.write(f'{sep}  "{name}": [')
+            sep = ",\n"
+            for i in range(0, len(xs), _SLICE):
+                fh.write(",\n    " if i else "\n    ")
+                fh.write(",\n    ".join(map(float.__repr__, xs[i:i + _SLICE].tolist())))
+            fh.write("\n  ]")
+        fh.write("\n}\n")

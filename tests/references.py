@@ -1,16 +1,19 @@
 """Plain reference implementations that the library's fast paths must match
 bit for bit: one start at a time for the two Morrey supremum scans, a dict
-of fsum buckets for grouping |f| by magnitude, and loops over Python floats
-for building g, wrapping angles and laying out the decreasing rearrangement.
+of fsum buckets for grouping |f| by magnitude, loops over Python floats
+for building g, wrapping angles and laying out the decreasing rearrangement,
+overlaps with every segment for integrals over arcs, and json's own encoder
+for writing step-function files.
 """
 
+import json
 import math
 from math import fsum, pi, tau
 
 import numpy as np
 
 from morreycircle import Arc, NormResult, StepFunction, constant, make_step, wrap_angle
-from morreycircle.errors import OverlapDetected, UnsortedBreakpoints
+from morreycircle.errors import NonFiniteNumber, OverlapDetected, UnsortedBreakpoints
 
 
 def exact_scan(f, params):
@@ -79,17 +82,54 @@ def grid_scan(f, params, refinement):
 
 def grouped(f):
     """circle_step._grouped, bucketing magnitudes in a dict: the nonzero
-    magnitudes, decreasing, their fsummed lengths, and the zero set's measure."""
+    magnitudes, decreasing, their fsummed lengths, and the zero set's measure,
+    0.0 where no segment is zero."""
     buckets = {}
+    has_zero = False
     for v, length in zip(f.values.tolist(), f.lengths.tolist()):
         mag = abs(v)
         if mag == 0.0:
+            has_zero = True
             continue
         buckets.setdefault(mag, []).append(length)
     mags = sorted(buckets, reverse=True)
     radians = [fsum(buckets[m]) for m in mags]
-    zero = 1.0 - fsum(rad / tau for rad in radians)
+    zero = 1.0 - fsum(rad / tau for rad in radians) if has_zero else 0.0
     return mags, radians, max(0.0, zero)
+
+
+def integral_p(f, arc, p):
+    """circle_step.integral_p, overlapping every segment and its 2*pi
+    translate with the arc."""
+    b0 = float(f.breakpoints[0])
+    a = b0 + ((arc.start - b0) % tau)
+    hi = a + arc.length
+    starts = f.breakpoints
+    ends = np.append(starts[1:], b0 + tau)
+    ov = (np.maximum(0.0, np.minimum(ends, hi) - np.maximum(starts, a))
+          + np.maximum(0.0, np.minimum(ends + tau, hi) - np.maximum(starts + tau, a)))
+    hit = ov > 0.0
+    with np.errstate(over="ignore"):
+        terms = np.abs(f.values[hit]) ** p * ov[hit]
+    try:
+        s = fsum(terms.tolist())
+    except OverflowError:
+        s = math.inf
+    if not math.isfinite(s):
+        raise NonFiniteNumber(f"integral of |f|^p over the arc is {s}")
+    return s / tau
+
+
+def save_step_function(f, path):
+    """io.save_step_function through json's own encoder."""
+    doc = {
+        "breakpoints_rad": f.breakpoints.tolist(),
+        "values": f.values.tolist(),
+        "segment_lengths_rad": f.lengths.tolist(),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def build_g(params, N):

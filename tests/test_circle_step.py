@@ -183,6 +183,37 @@ def test_integral_matches_segment_loop_on_rotated_g(rng, p):
         assert integral_p(g, arc, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _arcs_meeting_few_and_all_segments(rng, f):
+    """Arcs from everywhere and from breakpoints, through the cut, around the
+    whole circle, of 1e-300 rad, and from just below the first breakpoint."""
+    bps = f.breakpoints.tolist()
+    starts = ([-pi, pi, float(np.nextafter(bps[0], -np.inf))] + bps[:6]
+              + rng.choice(bps, size=6).tolist() + rng.uniform(-pi, pi, size=6).tolist()
+              + rng.uniform(2.5, pi, size=6).tolist())
+    arcs = []
+    for start in starts:
+        start = min(max(start, -pi), pi)
+        lengths = np.exp(rng.uniform(math.log(1e-12), math.log(tau), size=3))
+        arcs += [Arc(start, length) for length in [tau, 1e-300, *lengths.tolist()]]
+    # arcs from one breakpoint to another, the long way round too
+    for i, j in rng.integers(len(bps), size=(6, 2)):
+        arcs.append(Arc.from_endpoints(bps[i], bps[j]))
+    return arcs
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.7])
+def test_integral_equals_sum_over_every_segment(rng, p):
+    # integral_p reads only the segments an arc can meet; the same terms
+    # summed by fsum give the same bits as overlapping every segment
+    cases = [build_g(PRM, 3000).rotated(2.9), build_f(PRM, 3000), constant(-2.0),
+             make_step([-pi, -1.0, 0.5, 2.0], [1.5, 0.0, -2.0, 4.0]),
+             make_step([-pi, pi - 1e-9], [3.0, -1.0]),
+             make_step([pi], [2.0])]
+    cases += [random_step(rng, max_segments=40) for _ in range(30)]
+    for f in cases:
+        for arc in _arcs_meeting_few_and_all_segments(rng, f):
+            assert integral_p(f, arc, p) == references.integral_p(f, arc, p)
+
+
 # --- distribution ---
 
 def test_distribution_zero_function():
@@ -204,11 +235,12 @@ def test_distribution_support_measure_approaches_limit():
 
 def test_distribution_matches_dict_reference(rng):
     # the pair at N=1000, two constants, two functions with no zero set whose
-    # zero measure fsums to 0 and to 1.1e-16 (so only the second lays a zero
-    # segment in the rearrangement), and random functions
+    # measures fsum to 1 and to 1 - 1.1e-16, a function whose zero measure
+    # sum() would round differently from fsum(), and random functions
     cases = [build_f(PRM, 1000), build_g(PRM, 1000), constant(0.0), constant(-2.0),
              make_step([-3.0, -2.7, -1.1], [1.0, 3.0, 2.0]),
-             make_step([-3.1, -3.0, 1.6], [2.0, 3.0, 1.0])]
+             make_step([-3.1, -3.0, 1.6], [2.0, 3.0, 1.0]),
+             make_step([-2.4, -2.0, -1.7, -0.7, 1.5], [0.0, 3.0, 2.0, 1.0, 3.0])]
     for c in range(400):
         f = random_step(rng, max_segments=60)
         if c % 2:
@@ -225,6 +257,18 @@ def test_distribution_matches_dict_reference(rng):
         assert type(zero) is float and zero == want_zero
         assert _same_bits(decreasing_rearrangement(f),
                           references.decreasing_rearrangement(f))
+
+def test_rearrangement_without_zero_set_lays_no_zero_segment(rng):
+    # its measures fsum to 1 - 1.1e-16 and its cuts end below tau
+    f = make_step([-3.1, -3.0, 1.6], [2.0, 3.0, 1.0])
+    assert _grouped(f)[3] == 0.0
+    assert decreasing_rearrangement(f).values.tolist() == [2.0, 1.0, 3.0]
+    for _ in range(300):
+        f = random_step(rng, max_segments=30)
+        vals = rng.choice([-3.0, -1.5, 1.5, 2.0, 3.0, 7.25], len(f.values))
+        f = make_step(f.breakpoints, vals.tolist())
+        assert _grouped(f)[3] == 0.0
+        assert 0.0 not in decreasing_rearrangement(f).values
 
 def test_distribution_rotation_invariant_exactly(rng):
     for _ in range(25):
@@ -393,6 +437,15 @@ def step_functions(draw):
 @settings(max_examples=60, deadline=None)
 def test_hyp_rearrangement_equimeasurable(f):
     assert equimeasurable(f, decreasing_rearrangement(f), 0.0)
+
+
+@given(step_functions(), st.floats(min_value=-pi, max_value=pi),
+       st.one_of(st.floats(min_value=5e-324, max_value=tau), st.sampled_from([1e-300, tau])),
+       st.sampled_from([1.0, 2.0, 3.7]))
+@settings(max_examples=200, deadline=None)
+def test_hyp_integral_equals_sum_over_every_segment(f, start, length, p):
+    arc = Arc(start, length)
+    assert integral_p(f, arc, p) == references.integral_p(f, arc, p)
 
 
 @given(step_functions(), st.floats(min_value=1e-6, max_value=tau),
