@@ -27,6 +27,7 @@ from .errors import (
     NTooSmall,
     OverlapDetected,
     TOutOfRange,
+    TolOutOfRange,
     ToleranceUnreachable,
     YOutOfRange,
 )
@@ -187,9 +188,11 @@ def f_prefix_ratio(params, t, tail_tol):
     (11.7+4.25l)u however long the head; tau^(lam-1) t^(-lam) adds 8u,
     the last product and the widening 3u.
     lo and hi are widened by (24+5l)u, which covers this and second-order
-    terms.  A tail_tol below twice that relative width raises
-    ToleranceUnreachable.
+    terms.  A tail_tol that is not positive raises TolOutOfRange, and one
+    below twice that relative width ToleranceUnreachable.
     """
+    if not tail_tol > 0.0:
+        raise TolOutOfRange(f"tail_tol must be a positive number, got {tail_tol}")
     if not (0.0 < t < 1.0 / 16.0 and 1.0 / t < math.inf):
         raise TOutOfRange(f"t must lie in (0, 1/16) with 1/t finite, got {t}")
     lam, eps = params.lam, params.eps

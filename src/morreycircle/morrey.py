@@ -13,9 +13,11 @@ read off circular prefix sums, plus the full circle.  It and the grid
 oracle share one scan over (start, end) pairs cut into square tiles,
 grouped TILE x TILE into super-tiles.  Rectangles of pairs are bounded
 from the corner values of the prefix sums, all super-tiles of a block of
-rows or all tiles of a super-tile in one call, and visited best bound
-first, so only the few super-tiles and tiles whose bound reaches the
-best ratio found are split or evaluated (see _best_first).
+rows, all tiles of a super-tile or every column of a batch of tiles in
+one call, and visited best bound first, so only the few super-tiles and
+tiles whose bound reaches the best ratio found are split or bounded
+column by column, and of a tile only the columns from the first to the
+last whose own bound reaches it are evaluated (see _best_first).
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ class NormResult:
     value: float        # the norm, ratio_sup ** (1/p)
     ratio_sup: float    # supremum of the un-rooted ratio
     argmax: Arc
-    # (start, end) pairs whose ratio the scan computed, whole tiles counted
+    # (start, end) pairs whose ratio the scan computed: in each evaluated
+    # tile, its rows times its columns from the first to the last that may win
     pairs: int = field(default=0, compare=False)
-    # rectangles of pairs the scan bounded: super-tiles and tiles
+    # rectangles of pairs the scan bounded: super-tiles, tiles and columns
     bounded: int = field(default=0, compare=False)
 
 
@@ -105,11 +108,15 @@ def _ratio_bound(ihi, mlo, lam):
     return ub
 
 
-def _row_min(a, r0, r1):
-    """Minimum of a over each of the consecutive row ranges [r0[i], r1[i])
-    of a bounds call, as an (R, 1) array."""
-    lo = int(r0[0, 0])
-    return np.minimum.reduceat(a[lo:int(r1[-1, 0])], r0[:, 0] - lo)[:, None]
+def _tile_min(a):
+    """Minimum of a over each TILE-row tile of its rows."""
+    return np.minimum.reduceat(a, np.arange(0, len(a), TILE))
+
+
+def _may_win(ub, best, low):
+    """Mask of the bounds U under which a pair may still win: those with
+    (-U, *low) below the best key."""
+    return (ub > -best[0]) | ((ub == -best[0]) & (low < best[1:]))
 
 
 def _best_first(n, extent, bounds, evaluate, best, low):
@@ -121,30 +128,35 @@ def _best_first(n, extent, bounds, evaluate, best, low):
     (R, 1) arrays of row tiles.  TILE row tiles make a block, and the tiles
     numbered TILE * J to TILE * J + TILE - 1 in each of a block's row tiles
     make its super-tile J.  ``evaluate(r0, r1, c0, c1, best)`` returns the
-    smallest key of one tile's pairs, or ``best`` once it sees that none is
-    below it.  A key is a tuple: minus the ratio, then a tail at or above
-    ``low`` for every pair.
+    smallest key of the pairs in rows [r0, r1) x columns [c0, c1), part of
+    one tile, or ``best`` once it sees that none is below it.  A key is a
+    tuple: minus the ratio, then a tail at or above ``low`` for every pair.
 
     ``bounds(r0, r1, c0, c1)`` bounds a grid of rectangles in one call: r0
-    and r1 are (R, 1) arrays of row ranges, each ending where the next
-    begins, c0 and c1 (R, C) arrays of column ranges, and entry [i, j] of
+    and r1 are (R, 1) arrays of row tiles, in any order and repeats
+    allowed, c0 and c1 (R, C) arrays of column ranges, and entry [i, j] of
     the result is an upper bound on the ratios of the pairs in rows
     [r0[i], r1[i]) x columns [c0[i, j], c1[i, j]).
 
-    The search is best-first branch and bound on two levels (Land & Doig
-    1960; Lawler & Wood 1966).  Each block bounds, in one call, every row
-    tile's part of each of its super-tiles, and a super-tile's bound is the
-    largest of its parts; a visited super-tile bounds all of its tiles in
-    one call.  Of either call only the rectangles whose bound U may still
-    win, with (-U, *low) below the best key, are kept, in decreasing order
-    of U, as a cursor: one per block over its super-tiles, one per visited
-    super-tile over its tiles.  One heap holds the cursors, keyed by their
-    next bound.  The scan pops the largest bound: a super-tile gets a
-    cursor, a tile is evaluated.  It stops at the first bound U with (-U,
-    *low) not below the best key, since no pair under it can win.  So a
-    tile whose bound ties the best ratio is evaluated, as a tie may win on
-    the tail, unless the best key's tail is below ``low``, as a seed's can
-    be.
+    The search is best-first branch and bound over three levels of
+    rectangles: super-tiles, tiles and columns (Land & Doig 1960; Lawler &
+    Wood 1966).  Each block bounds, in one call, every row tile's part of
+    each of its super-tiles, and a super-tile's bound is the largest of its
+    parts; a visited super-tile bounds all of its tiles in one call.  Of
+    either call only the rectangles whose bound U may still win, with (-U,
+    *low) below the best key, are kept, in decreasing order of U, as a
+    cursor: one per block over its super-tiles, one per visited super-tile
+    over its tiles.  One heap holds the cursors, keyed by their next bound.
+    The scan pops the largest bound: a super-tile gets a cursor, and a tile
+    joins a batch of up to TILE tiles popped in bound order, which ends
+    early where the heap's top is a super-tile.  One call bounds every
+    column of the batch's tiles as its own rectangle; each tile, in turn,
+    is then evaluated from its first to its last column that may still win
+    against the best key found so far, or skipped if it has none.  The scan
+    stops at the first bound U with (-U, *low) not below the best key,
+    since no pair under it can win.  So a column whose bound ties the best
+    ratio is evaluated, as a tie may win on the tail, unless the best key's
+    tail is below ``low``, as a seed's can be.
 
     A scan's ``bounds`` must be sound on any rectangle of rows x columns,
     not only on tiles, so that the kernel alone chooses the rectangles it
@@ -152,14 +164,15 @@ def _best_first(n, extent, bounds, evaluate, best, low):
     cumulative sums of nonnegative terms, which are monotone in floating
     point, through subtractions, additions of a constant and divisions by
     tau, which are monotone under round-to-nearest, and clamp the measure
-    by the shortest single-step arc of each row range; the only
+    by the shortest single-step arc of each row tile; the only
     non-monotone step, ** lam, is covered by _ratio_bound.  Bound work is
-    O(n^2 / TILE^3) for the blocks plus TILE^2 per visited super-tile.  A
-    cursor keeps its rectangles' bounds and cuts, not the matrices they
-    came from, so memory is O(n^2 / TILE^4) for the block cursors plus
-    O(TILE^2) per visited super-tile, beyond O(n / TILE) for the row tiles
-    and for one block's call.  Returns the best key, the ratios
-    computed, whole tiles counted, and the rectangles bounded.
+    O(n^2 / TILE^3) for the blocks plus TILE^2 per visited super-tile and
+    TILE per popped tile.  A cursor keeps its rectangles' bounds and
+    numbers, not the matrices they came from, so memory is O(n^2 / TILE^4)
+    for the block cursors plus O(TILE^2) per visited super-tile, beyond
+    O(n / TILE) for the row tiles and for one block's call and O(TILE^2)
+    for one batch's.  Returns the best key, the ratios computed, and the
+    rectangles bounded.
     """
     r0 = np.arange(0, n, TILE)[:, None]
     r1 = np.minimum(r0 + TILE, n)
@@ -184,31 +197,53 @@ def _best_first(n, extent, bounds, evaluate, best, low):
     def push(level, ub, *item):
         # a cursor over the rectangles whose bound may still win
         shape, ub = ub.shape, ub.ravel()
-        keep = np.flatnonzero((ub > -best[0]) | ((ub == -best[0]) & (low < best[1:])))
+        keep = np.flatnonzero(_may_win(ub, best, low))
         keep = keep[np.argsort(-ub[keep], kind="stable")]
         if keep.size:
             cur = (ub[keep], *(np.broadcast_to(x, shape).ravel()[keep] for x in item))
             heapq.heappush(heap, (-float(cur[0][0]), next(tick), 0, level, cur))
+
+    def pop():
+        # the item under the heap's largest bound, and its cursor moved on
+        _, _, pos, level, cur = heapq.heappop(heap)
+        if pos + 1 < len(cur[0]):
+            heapq.heappush(heap, (-float(cur[0][pos + 1]), next(tick), pos + 1, level, cur))
+        return [int(x[pos]) for x in cur[1:]]
+
+    def more():
+        # whether a pair under the heap's largest bound may still win
+        return heap and (heap[0][0], *low) < best
 
     for b in range(0, len(r0), TILE):
         rows = slice(b, b + TILE)
         sup = np.arange(-(-int((c_hi[rows] - c_lo[rows]).max()) // (TILE * TILE)))
         push(1, bound(rows, sup, TILE * TILE)[0].max(axis=0), b, sup)
 
-    while heap and (heap[0][0], *low) < best:
-        _, _, pos, level, cur = heapq.heappop(heap)
-        if pos + 1 < len(cur[0]):
-            heapq.heappush(heap, (-float(cur[0][pos + 1]), next(tick), pos + 1, level, cur))
-        if level:
-            b, sup = int(cur[1][pos]), int(cur[2][pos])
-            rows = slice(b, b + TILE)
-            ub, c0, c1 = bound(rows, TILE * sup + np.arange(TILE), TILE)
-            push(0, ub, np.arange(b, b + len(ub))[:, None], c0, c1)
-        else:
-            i, c0, c1 = (int(x[pos]) for x in cur[1:])
-            t0, t1 = int(r0[i, 0]), int(r1[i, 0])
-            best = min(best, evaluate(t0, t1, c0, c1, best))
-            pairs += (t1 - t0) * (c1 - c0)
+    while more():
+        if heap[0][3]:
+            b, sup = pop()
+            rows, tiles = slice(b, b + TILE), TILE * sup + np.arange(TILE)
+            ub = bound(rows, tiles, TILE)[0]
+            push(0, ub, np.arange(b, b + len(ub))[:, None], tiles)
+            continue
+        batch = [pop()]
+        while len(batch) < TILE and more() and not heap[0][3]:
+            batch.append(pop())
+        rows, tiles = np.array(batch).T
+        ub, c0, c1 = bound(rows, TILE * tiles[:, None] + np.arange(TILE), 1)
+        seen = None
+        for k, i in enumerate(rows.tolist()):
+            if seen != best:
+                # each tile's first and last column that may win, found
+                # again for the whole batch whenever the best key moves
+                seen, live = best, _may_win(ub, best, low)
+                has, first = live.any(axis=1).tolist(), live.argmax(axis=1).tolist()
+                last = (TILE - 1 - live[:, ::-1].argmax(axis=1)).tolist()
+            if has[k]:
+                t0, t1 = int(r0[i, 0]), int(r1[i, 0])
+                a, z = int(c0[k, first[k]]), int(c1[k, last[k]])
+                best = min(best, evaluate(t0, t1, a, z, best))
+                pairs += (t1 - t0) * (z - a)
     return best, pairs, bounded
 
 
@@ -256,20 +291,27 @@ def morrey_norm_exact(f, params):
     with np.errstate(divide="ignore", invalid="ignore"):
         dead = np.isnan((ci_end[:n] - ci[nz]) / step ** lam)
 
+    smin = _tile_min(step)
+
     def bounds(p0, p1, q0, q1):
-        # a pair (pos, q) has q >= pos, so its measure is at least step[pos]
-        mlo = np.maximum(cm_end[q0] - cm[nz[p1 - 1]], _row_min(step, p0, p1))
+        # a pair (pos, q) has q >= pos, so its measure is at least step[pos],
+        # hence at least the smallest step of its row tile
+        mlo = np.maximum(cm_end[q0] - cm[nz[p1 - 1]], smin[p0 // TILE])
         return _ratio_bound(ci_end[q1 - 1] - ci[nz[p0]], mlo, lam)
 
     def evaluate(p0, p1, q0, q1, best):
         s = nz[p0:p1, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = cm_end[q0:q1] - cm[s]
-            r = (ci_end[q0:q1] - ci[s]) / m ** lam
-        d = np.arange(float(q0), q1) - np.arange(float(p0), p1)[:, None]
-        r[d < 0.0] = -np.inf
-        r[d >= span] = -np.inf
-        r[dead[p0:p1]] = -np.inf
+        m = cm_end[q0:q1] - cm[s]
+        r = (ci_end[q0:q1] - ci[s]) / m ** lam
+        # an end q pairs with a start pos when 0 <= q - pos < span; each mask
+        # is skipped where the corner indices show that every pair passes
+        # its test, or that no row is dead
+        if q0 < p1 - 1:
+            r[np.tri(p1 - p0, q1 - q0, p0 - q0 - 1, dtype=bool)] = -np.inf
+        if q1 - p0 > span:
+            r[~np.tri(p1 - p0, q1 - q0, p0 - q0 + span - 1, dtype=bool)] = -np.inf
+        if dead[p0:p1].any():
+            r[dead[p0:p1]] = -np.inf
         top = r.max()
         if top < -best[0]:
             return best
@@ -278,9 +320,10 @@ def morrey_norm_exact(f, params):
         return -float(top), float(m[a, b]), int(s[a, 0]), int(ends[q0 + b])
 
     # with span 0 the one start has no end but the seed's whole circle
-    (neg_r, _, i, j), pairs, bounded = _best_first(
-        n if span else 0, lambda p0, p1: (p0, p1 - 1 + span), bounds, evaluate,
-        (-total, 1.0, 0, k), (0.0, 0, 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (neg_r, _, i, j), pairs, bounded = _best_first(
+            n if span else 0, lambda p0, p1: (p0, p1 - 1 + span), bounds, evaluate,
+            (-total, 1.0, 0, k), (0.0, 0, 0))
     _finite(-neg_r, "supremum of the Morrey ratio")
     arc = Arc.from_endpoints(float(bps[i]), float(bps[j % k]))
     return NormResult((-neg_r) ** (1.0 / p), -neg_r, arc, pairs, bounded)
@@ -320,8 +363,9 @@ def grid_search(f, params, refinement):
     total = _finite(float(np.sum(contrib)))
     npts = len(pts)
     pre = np.concatenate(([0.0], np.cumsum(contrib)))[:npts]
-    # the forward arc from a to a + 1 is the shortest one starting at a
-    step = (np.append(pts[1:], np.inf) - pts) / tau
+    # the forward arc from a to a + 1 is the shortest one starting at a;
+    # smin holds the shortest of each row tile
+    smin = _tile_min((np.append(pts[1:], np.inf) - pts) / tau)
 
     def bounds(a0, a1, b0, b1):
         ihi = pre[b1 - 1] - pre[a0]
@@ -329,7 +373,7 @@ def grid_search(f, params, refinement):
         # pairs with b > a do not wrap (a measure that rounds to 0 becomes
         # 1.0, above any bound used here); pairs with b < a wrap and add
         # total and 1.0; the pair b == a scores 0.0 and never wins
-        fwd = _ratio_bound(ihi, np.maximum(lo, _row_min(step, a0, a1)), lam)
+        fwd = _ratio_bound(ihi, np.maximum(lo, smin[a0 // TILE]), lam)
         wrap = _ratio_bound(ihi + total, lo + 1.0, lam)
         fwd[pts[b1 - 1] <= pts[a0]] = -np.inf
         wrap[pts[b0] >= pts[a1 - 1]] = -np.inf

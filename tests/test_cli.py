@@ -250,6 +250,14 @@ def test_counterexample_unreachable_tail_tol_is_clean_error(runner):
     assert isinstance(res.exception, SystemExit)
     assert "Error: tail_tol=1e-17" in res.output
 
+@pytest.mark.parametrize("tail_tol", ["nan", "0", "-1"])
+def test_counterexample_nonpositive_tail_tol_is_clean_error(runner, tail_tol):
+    res = runner.invoke(main, ["counterexample", "--n", "120", "--t-grid", "1e-2",
+                               "--tail-tol", tail_tol])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: tail_tol must be a positive number" in res.output
+
 def test_counterexample_subnormal_t_is_clean_error(runner):
     # 1/t overflows for t = 5e-324
     res = runner.invoke(main, ["counterexample", "--n", "120", "--t-grid", "5e-324"])

@@ -32,6 +32,7 @@ from morreycircle.errors import (
     LambdaOutOfRange,
     NTooSmall,
     TOutOfRange,
+    TolOutOfRange,
     ToleranceUnreachable,
     YOutOfRange,
 )
@@ -240,8 +241,11 @@ def test_f_prefix_ratio_rejects_bad_inputs():
 
 def test_f_prefix_ratio_unreachable_tolerance_raises():
     # rounding alone widens the enclosure by ~1e-14 relative
-    for tol in (1e-17, 0.0, -1e-8, float("nan")):
-        with pytest.raises(ToleranceUnreachable):
+    with pytest.raises(ToleranceUnreachable):
+        f_prefix_ratio(PRM, 1e-3, 1e-17)
+    # a tolerance that is not positive is refused before the rounding test
+    for tol in (0.0, -1e-8, float("nan")):
+        with pytest.raises(TolOutOfRange, match="tail_tol must be a positive number"):
             f_prefix_ratio(PRM, 1e-3, tol)
 
 def _prefix_ratio_oracle(lam, eps, t, dps=40):

@@ -293,12 +293,19 @@ def _step_with_tiny_segment(rng, k):
 
 
 def test_exact_scan_matches_per_start_reference(rng):
+    bps = -3.0 + 0.05 * np.arange(65)
     fixtures = [
         constant(0.0), constant(2.5),
         make_step([-2.0, -1.0, 1.0, 2.0], [1.0, 0.0, 1.0, 0.0]),
         make_step([-2.0, -1.0, 1.0, 1.25], [1.0, 0.0, 2.0, 0.0]),
         # the one-segment arc at 1.0 rounds to 0 / 0, which drops its row
         make_step([-3.0, 1.0, np.nextafter(1.0, 2.0), 2.0], [3.0, 1.0, 0.0, 2.0]),
+        # a spike at start 62 of the first row tile: only its last two ends
+        # may beat the seed, so the evaluated columns begin just left of the
+        # last row, whose pair with the first of them ends before it starts
+        make_step(bps, [1e-9] * 62 + [1e3, 1.0, 0.0]),
+        # the same spike, with the last row dead
+        make_step(np.append(bps[:64], np.nextafter(bps[63], 1.0)), [1e-9] * 62 + [1e3, 1.0, 0.0]),
     ]
     cases = fixtures + [random_step(rng, max_segments=40) for _ in range(250)]
     # up to four tiles of starts, and values rounded to force ties
@@ -338,29 +345,92 @@ def test_exact_scan_finds_a_short_heavy_segment_inside_a_tile():
 
 @pytest.mark.parametrize("n", [1000, 10_000])
 def test_exact_scan_matches_reference_on_g(n):
+    # at N=1e4 some batches of tiles end at a super-tile's pop, and at
+    # lambda 0.3 a tile's columns that may win are not contiguous
     g = build_g(validate_params(1.0, 0.5, 0.2), n)
     for h in (g, g.rotated(2.9)):
-        for lam in (0.5, 0.3):
+        for lam in (0.5, 0.3, 0.9):
             mp = MorreyParams(1.0, lam)
             assert morrey_norm_exact(h, mp) == exact_scan(h, mp)
 
 
+def test_exact_scan_trims_a_tile_to_its_columns_that_may_win():
+    # nonzero segments 0-63 heavy and short, 64-69 light, 70-99 a long light
+    # stretch, 100 a spike of the mass of 0-63, 101-127 light; a zero gap;
+    # 128 tiny and light, 129 a second spike, 130-191 light; a zero gap.
+    # The second spike's tile is evaluated first.  Against its ratio, the
+    # columns of the tile of starts 0-63 and ends 64-127 that may win are
+    # 64-73 and 100-127, and the winner, from start 0 to the first spike,
+    # lies in the second run
+    lens = [1e-4] * 70 + [1e-3] * 30 + [6e-3] + [1e-4] * 27 + [1.0, 1e-9, 1e-3] + [1e-4] * 62
+    vals = ([100.0] * 64 + [1.0] * 6 + [1e-3] * 30 + [0.64 / 6e-3] + [1.0] * 27
+            + [0.0, 1.0, 400.0] + [1.0] * 62 + [0.0])
+    f = make_step(-3.0 + np.cumsum([0.0] + lens), vals)
+    mp = MorreyParams(1.0, 0.3)
+    res = morrey_norm_exact(f, mp)
+    assert res == exact_scan(f, mp)
+    assert res.argmax == Arc.from_endpoints(f.breakpoints[0], f.breakpoints[101])
+
+
+def test_exact_ties_across_tiles_of_one_batch():
+    # 130 segments of one length g at value 1, but for spikes of 8 at 10 and
+    # 100, one in each of two row tiles popped in one batch, and a zero one
+    # closing the circle.  g / tau has 14 trailing zero bits, so the scan's
+    # cumulative sums over the first lap are exact: the spikes tie bit for
+    # bit at lambda 0.9, and the smaller start wins
+    g = 26527 * 2.0 ** -20
+    vals = np.ones(131)
+    vals[[10, 100]], vals[-1] = 8.0, 0.0
+    f = make_step(-3.0 + g * np.arange(131), vals)
+    mp = MorreyParams(1.0, 0.9)
+    spikes = [Arc(f.breakpoints[i], f.lengths[i]) for i in (10, 100)]
+    assert morrey_ratio(f, spikes[0], mp) == morrey_ratio(f, spikes[1], mp)
+    res = morrey_norm_exact(f, mp)
+    assert res == exact_scan(f, mp)
+    assert res.argmax.start == f.breakpoints[10]
+    # |f|^p times any segment's measure underflows to 0, so every ratio ties
+    # the seed at 0 and every column bound is 0.0: the columns are kept on
+    # the tail alone, and the shortest one-segment arc wins
+    f = make_step(-3.0 + 0.04 * np.arange(131), [5e-324] * 131)
+    res = morrey_norm_exact(f, MorreyParams(1.0, 0.5))
+    assert res == exact_scan(f, MorreyParams(1.0, 0.5))
+    assert res.ratio_sup == 0.0 and res.argmax.length < 0.04
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
+def test_grid_scan_matches_reference_on_g(lam):
+    # over 4096 start points, so two super-tiles per block: some batches of
+    # tiles end at a super-tile's pop, and some tiles' columns that may win
+    # are not contiguous
+    g = build_g(validate_params(1.0, 0.5, 0.2), 100)
+    mp = MorreyParams(1.0, lam)
+    for h in (g, g.rotated(2.9)):
+        assert grid_search(h, mp, 4096) == grid_scan(h, mp, 4096)
+
+
 def test_exact_scan_evaluates_few_pairs_on_g():
-    # a work count, identical on every host: under 2% of the nnz^2 pairs a
-    # per-start scan computes
-    g = build_g(validate_params(1.0, 0.5, 0.2), 30_000)
-    nnz = sum(1 for v in g.values if v != 0.0)
-    res = morrey_norm_exact(g, MorreyParams(1.0, 0.5))
-    assert 0 < res.pairs < 0.02 * nnz * nnz
+    # a work count, identical on every host: evaluating every column of each
+    # tile whose corner bound reaches the best ratio computed 5748800,
+    # 15336512 and 7370816 pairs here; only the columns that can win, about
+    # 8.5e5, 9.2e5 and 9.9e4
+    prm = validate_params(1.0, 0.5, 0.2)
+    cases = [(build_g(prm, 30_000), 1.5e6), (build_g(prm, 100_000), 2e6),
+             (build_f(prm, 30_000), 5e5)]
+    for f, most in cases:
+        assert 0 < morrey_norm_exact(f, MorreyParams(1.0, 0.5)).pairs < most
 
 
 def test_pairs_count_whole_tiles_cut_at_the_extent():
-    # one tile each, and it holds the winner: the exact scan pairs its 3
-    # nonzero starts with the 2 * 3 - 1 ends a start can reach, the grid
-    # its 11 points (the uniform 8 and the breakpoints -2, -1, 1) with all 11
+    # one tile each, and it holds the winner.  The exact scan's tile has its
+    # 3 nonzero starts and the 2 * 3 - 1 ends a start can reach; against the
+    # seed, the whole circle's 6 / tau, the column of the first end is
+    # bounded by tau^(-1/2) (segment [-2, -1) over the shortest one-segment
+    # measure 1 / tau) and is cut, so 3 starts meet 4 ends.  Every column
+    # of the grid's tile, its 11 points (the uniform 8 and the breakpoints
+    # -2, -1, 1) with all 11, is bounded by 1.9 or more, above the seed
     f = make_step([-2.0, -1.0, 0.0, 1.0], [1.0, 2.0, 3.0, 0.0])
     mp = MorreyParams(1.0, 0.5)
-    assert morrey_norm_exact(f, mp).pairs == 3 * 5
+    assert morrey_norm_exact(f, mp).pairs == 3 * 4
     assert grid_search(f, mp, 8).pairs == 11 * 11
 
 
