@@ -109,7 +109,7 @@ def equimeasurable(input_path, input2_path, tol):
 
 
 # counterexample's largest --n: f, g and the exact scan on g take about 300
-# B per block (308 MB peak RSS at --n 1000000)
+# B per block (300 MB peak RSS at --n 1000000, 813 MB at 3000000)
 MAX_N = 10 ** 7
 
 

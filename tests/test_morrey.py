@@ -223,6 +223,17 @@ def test_tied_blocks_go_to_the_smallest_start():
     for refinement in (2, 3, 4):
         assert grid_search(f, mp, refinement).argmax == Arc(-2.0, 1.0)
 
+def test_grid_tie_goes_to_the_smaller_start_before_the_smaller_end():
+    # f has period pi, so the arc [-pi/2, pi), points 0 to 3, and its half
+    # turn [pi/2, 2 pi), points 2 round to 1, tie bit for bit; the two pairs
+    # order one way by start and the other by end
+    f = make_step(-pi + tau * np.arange(4) / 4, [0.0, 2.0, 0.0, 2.0])
+    mp = MorreyParams(1.0, 0.5)
+    res = grid_search(f, mp, 4)
+    assert res.ratio_sup == morrey_ratio(f, Arc(pi / 2, 1.5 * pi), mp)
+    assert res == grid_scan(f, mp, 4)
+    assert res.argmax == Arc(-pi / 2, 1.5 * pi)
+
 def test_exact_tie_goes_to_the_shorter_arc_before_the_smaller_start():
     # [-2, -1) at value 1 and [1, 1.25) at value 2 tie bit for bit
     f = make_step([-2.0, -1.0, 1.0, 1.25], [1.0, 0.0, 2.0, 0.0])
@@ -300,15 +311,15 @@ def test_exact_scan_matches_per_start_reference(rng):
         make_step([-2.0, -1.0, 1.0, 1.25], [1.0, 0.0, 2.0, 0.0]),
         # the one-segment arc at 1.0 rounds to 0 / 0, which drops its row
         make_step([-3.0, 1.0, np.nextafter(1.0, 2.0), 2.0], [3.0, 1.0, 0.0, 2.0]),
-        # a spike at start 62 of the first row tile: only its last two ends
-        # may beat the seed, so the evaluated columns begin just left of the
-        # last row, whose pair with the first of them ends before it starts
+        # a spike at start 62, in the last leaf of starts: the leaf's column
+        # of end 62 may beat the seed, and the leaf's last row pairs with it
+        # before it starts
         make_step(bps, [1e-9] * 62 + [1e3, 1.0, 0.0]),
         # the same spike, with the last row dead
         make_step(np.append(bps[:64], np.nextafter(bps[63], 1.0)), [1e-9] * 62 + [1e3, 1.0, 0.0]),
     ]
     cases = fixtures + [random_step(rng, max_segments=40) for _ in range(250)]
-    # up to four tiles of starts, and values rounded to force ties
+    # up to 16 leaves of starts, and values rounded to force ties
     cases += [random_step(rng, max_segments=250) for _ in range(40)]
     cases += [make_step(f.breakpoints, np.round(f.values).tolist())
               for f in (random_step(rng, max_segments=150) for _ in range(40))]
@@ -325,11 +336,27 @@ def test_exact_scan_matches_per_start_reference(rng):
                 morrey_norm_exact(f, mp)
 
 
+def test_a_dead_row_costs_no_more_work_than_a_live_one():
+    # the spike fixtures of the per-start reference test: the last row's
+    # one-segment arc is 0.05 long, or one ulp long so that its ratio rounds
+    # to 0 / 0 and the row is dead.  A dead row never wins, so its step of
+    # 0.0 must not clamp the others' measures: it did, every rectangle of
+    # its block that reached its start was bounded by inf and evaluated
+    bps = -3.0 + 0.05 * np.arange(65)
+    vals = [1e-9] * 62 + [1e3, 1.0, 0.0]
+    live = make_step(bps, vals)
+    dead = make_step(np.append(bps[:64], np.nextafter(bps[63], 1.0)), vals)
+    for p in (1.0, 2.5):
+        for lam in (0.1, 0.5, 0.9):
+            mp = MorreyParams(p, lam)
+            assert morrey_norm_exact(dead, mp).pairs <= morrey_norm_exact(live, mp).pairs
+
+
 def test_exact_scan_finds_a_short_heavy_segment_inside_a_tile():
-    # a tile next to the diagonal bounds its measures by the shortest
-    # one-segment arc of any of its starts: here that arc is the heavy spike
-    # in the middle of the first tile, while the second tile's last start
-    # is a lighter spike that is evaluated first
+    # a rectangle next to the diagonal bounds its measures by the shortest
+    # one-segment arc of any of its block's starts: here that arc is the
+    # heavy spike at start 10, inside the first leaf, while the last start
+    # is a lighter spike
     bps = np.linspace(-3.0, 3.0, 129)[:-1].tolist()
     vals = [1e-6] * 128
     for i, v in ((10, 1e4), (127, 1e3)):
@@ -345,8 +372,7 @@ def test_exact_scan_finds_a_short_heavy_segment_inside_a_tile():
 
 @pytest.mark.parametrize("n", [1000, 10_000])
 def test_exact_scan_matches_reference_on_g(n):
-    # at N=1e4 some batches of tiles end at a super-tile's pop, and at
-    # lambda 0.3 a tile's columns that may win are not contiguous
+    # at N=1e4 the square over all pairs is 11 levels above the leaves
     g = build_g(validate_params(1.0, 0.5, 0.2), n)
     for h in (g, g.rotated(2.9)):
         for lam in (0.5, 0.3, 0.9):
@@ -358,10 +384,8 @@ def test_exact_scan_trims_a_tile_to_its_columns_that_may_win():
     # nonzero segments 0-63 heavy and short, 64-69 light, 70-99 a long light
     # stretch, 100 a spike of the mass of 0-63, 101-127 light; a zero gap;
     # 128 tiny and light, 129 a second spike, 130-191 light; a zero gap.
-    # The second spike's tile is evaluated first.  Against its ratio, the
-    # columns of the tile of starts 0-63 and ends 64-127 that may win are
-    # 64-73 and 100-127, and the winner, from start 0 to the first spike,
-    # lies in the second run
+    # The winner runs from start 0 to the first spike, past the long light
+    # stretch whose ends cannot win
     lens = [1e-4] * 70 + [1e-3] * 30 + [6e-3] + [1e-4] * 27 + [1.0, 1e-9, 1e-3] + [1e-4] * 62
     vals = ([100.0] * 64 + [1.0] * 6 + [1e-3] * 30 + [0.64 / 6e-3] + [1.0] * 27
             + [0.0, 1.0, 400.0] + [1.0] * 62 + [0.0])
@@ -374,7 +398,7 @@ def test_exact_scan_trims_a_tile_to_its_columns_that_may_win():
 
 def test_exact_ties_across_tiles_of_one_batch():
     # 130 segments of one length g at value 1, but for spikes of 8 at 10 and
-    # 100, one in each of two row tiles popped in one batch, and a zero one
+    # 100, one in each of two leaves of starts, and a zero one
     # closing the circle.  g / tau has 14 trailing zero bits, so the scan's
     # cumulative sums over the first lap are exact: the spikes tie bit for
     # bit at lambda 0.9, and the smaller start wins
@@ -399,9 +423,8 @@ def test_exact_ties_across_tiles_of_one_batch():
 
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
 def test_grid_scan_matches_reference_on_g(lam):
-    # over 4096 start points, so two super-tiles per block: some batches of
-    # tiles end at a super-tile's pop, and some tiles' columns that may win
-    # are not contiguous
+    # over 4096 start points, so the square over all pairs is 9 levels above
+    # the leaves
     g = build_g(validate_params(1.0, 0.5, 0.2), 100)
     mp = MorreyParams(1.0, lam)
     for h in (g, g.rotated(2.9)):
@@ -410,9 +433,10 @@ def test_grid_scan_matches_reference_on_g(lam):
 
 def test_exact_scan_evaluates_few_pairs_on_g():
     # a work count, identical on every host: evaluating every column of each
-    # tile whose corner bound reaches the best ratio computed 5748800,
-    # 15336512 and 7370816 pairs here; only the columns that can win, about
-    # 8.5e5, 9.2e5 and 9.9e4
+    # 64 x 64 tile whose corner bound reaches the best ratio computed
+    # 5748800, 15336512 and 7370816 pairs here; only the columns that can
+    # win, about 8.5e5, 9.2e5 and 9.9e4; each leaf's columns that can win,
+    # evaluated leaf chunk by leaf chunk, about 1.6e4 each
     prm = validate_params(1.0, 0.5, 0.2)
     cases = [(build_g(prm, 30_000), 1.5e6), (build_g(prm, 100_000), 2e6),
              (build_f(prm, 30_000), 5e5)]
@@ -421,13 +445,16 @@ def test_exact_scan_evaluates_few_pairs_on_g():
 
 
 def test_pairs_count_whole_tiles_cut_at_the_extent():
-    # one tile each, and it holds the winner.  The exact scan's tile has its
-    # 3 nonzero starts and the 2 * 3 - 1 ends a start can reach; against the
-    # seed, the whole circle's 6 / tau, the column of the first end is
-    # bounded by tau^(-1/2) (segment [-2, -1) over the shortest one-segment
-    # measure 1 / tau) and is cut, so 3 starts meet 4 ends.  Every column
-    # of the grid's tile, its 11 points (the uniform 8 and the breakpoints
-    # -2, -1, 1) with all 11, is bounded by 1.9 or more, above the seed
+    # fewer than LEAF rows and columns each, so the square over all pairs is
+    # one leaf, cut at the last row and column, and it holds the winner; of
+    # a leaf, each column is bounded and evaluated with all the leaf's rows.
+    # The exact scan's leaf has its 3 nonzero starts and the 2 * 3 - 1 ends
+    # a start can reach; against the seed, the whole circle's 6 / tau, the
+    # column of the first end is bounded by tau^(-1/2) (segment [-2, -1)
+    # over the shortest one-segment measure 1 / tau) and is cut, so 3 starts
+    # meet 4 ends.  Every column of the grid's leaf, its 11 points (the
+    # uniform 8 and the breakpoints -2, -1, 1) with all 11, is bounded by
+    # 1.9 or more, above the seed
     f = make_step([-2.0, -1.0, 0.0, 1.0], [1.0, 2.0, 3.0, 0.0])
     mp = MorreyParams(1.0, 0.5)
     assert morrey_norm_exact(f, mp).pairs == 3 * 4
@@ -437,15 +464,21 @@ def test_pairs_count_whole_tiles_cut_at_the_extent():
 def test_bound_work_grows_far_slower_than_the_tiles_on_g():
     # a work count, identical on every host: bounding every tile of every
     # row, rectangles bounded grew 99.5x from N=1e4 to 1e5 (49141 to
-    # 4889062); bounding super-tiles first, about 16x
+    # 4889062); bounding super-tiles first, about 16x; splitting squares
+    # from one over all pairs, 11x (21773 to 241451).  From 1e5 to 3e5, as g
+    # gets 3x the nonzero segments, 3.1x (to 747928): the squares bounded
+    # grow 2.9x, the columns of leaves near the best ratio 3.2x
     prm, mp = validate_params(1.0, 0.5, 0.2), MorreyParams(1.0, 0.5)
-    small, big = (morrey_norm_exact(build_g(prm, n), mp).bounded for n in (10_000, 100_000))
+    small, big, bigger = (morrey_norm_exact(build_g(prm, n), mp).bounded
+                          for n in (10_000, 100_000, 300_000))
     assert 0 < big < 20 * small
+    assert 0 < bigger < 3.3 * big
 
 
 def test_exact_scan_memory_stays_flat_on_g():
-    # the cursors keep the tiles that may still win, not the bound matrices
-    # they came from; keeping the matrices traced a 7.8 MB peak here
+    # the runs keep the squares that may still win, not the bound matrices
+    # they came from (7.8 MB traced here), and a chunk of leaves has its
+    # columns evaluated at once rather than queued as runs (about 7.2 MB)
     g = build_g(validate_params(1.0, 0.5, 0.2), 30_000)
     tracemalloc.start()
     try:
@@ -456,11 +489,13 @@ def test_exact_scan_memory_stays_flat_on_g():
     assert peak <= 6.6e6
 
 
-@pytest.mark.parametrize("nnz", [4095, 4096, 4097])
+@pytest.mark.parametrize("nnz", [7, 8, 9, 15, 16, 17, 31, 32, 33, 1023, 1024, 1025,
+                                 4095, 4096, 4097])
 def test_exact_scan_matches_reference_across_block_edges(rng, nnz):
-    # a block is 64 row tiles of 64 starts: these nnz make one block whose
-    # last row tile is one start short, one full block, and a second block
-    # of one start; the winner, a heavy last segment, is the last start's
+    # rows are cut into leaves of 16 starts and into aligned blocks of a
+    # power of two, and the 2 nnz - 1 ends into as many columns: these nnz
+    # leave the last leaf or block one start short, fill it, or start one
+    # more; the winner, a heavy last segment, is the last start's
     bps = np.unique(rng.uniform(-pi, pi, size=nnz + 300))
     vals = rng.uniform(0.5, 10.0, size=len(bps))
     vals[rng.choice(len(bps) - 1, size=len(bps) - nnz, replace=False)] = 0.0
@@ -472,15 +507,18 @@ def test_exact_scan_matches_reference_across_block_edges(rng, nnz):
     assert res.argmax.start == bps[-1]
 
 
-@pytest.mark.parametrize("refinement", [4095, 4096, 4097])
+@pytest.mark.parametrize("refinement", [7, 8, 9, 16, 17, 31, 32, 33, 1023, 1024, 1025,
+                                        4095, 4096, 4097])
 def test_grid_scan_matches_reference_across_block_edges(rng, refinement):
     # f's breakpoints are grid points, so the scan has exactly `refinement`
-    # start points: one block one short, one full block, and one more; the
+    # start points: the last leaf or block one short, full, and one more
+    # (at 15 the last grid point rounds below pi, which adds a 16th); the
     # winner, a heavy first cell, wraps from the last start point, pi
     grid = -pi + tau * np.arange(1, refinement + 1) / refinement
-    bps = np.concatenate(([-pi, grid[0]], np.sort(rng.choice(grid[1:-1], 10, replace=False))))
+    cuts = rng.choice(grid[1:-1], min(10, refinement - 3), replace=False)
+    bps = np.concatenate(([-pi, grid[0]], np.sort(cuts)))
     assert len(np.union1d(np.append(bps[1:], pi), grid)) == refinement
-    vals = rng.uniform(0.0, 10.0, size=12)
+    vals = rng.uniform(0.0, 10.0, size=len(bps))
     vals[2::4] = 0.0
     vals[0] = 1e3
     f = make_step(bps, vals)
@@ -503,7 +541,8 @@ def test_grid_scan_matches_per_start_reference(rng):
 
 def test_grid_scan_visits_rows_best_bound_first(rng):
     # a work count, identical on every host: rows taken in index order
-    # instead compute 1.99e7 pairs here, against 1.40e6
+    # instead compute 1.99e7 pairs here; draining each level's squares
+    # before returning to larger ones, 9.2e5; best first, 4.9e4
     mp = MorreyParams(1.0, 0.5)
     pairs = sum(grid_search(random_step(rng, value_lo=0.0, value_hi=10.0), mp, 65536).pairs
                 for _ in range(6))
