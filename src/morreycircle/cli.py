@@ -146,8 +146,8 @@ def counterexample(p, lam, eps, n_max, t_grid, tail_tol, out_path):
     ts = [float(s) for s in t_grid.split(",") if s.strip()]
     if not ts:
         raise click.ClickException("--t-grid names no prefix-arc length")
-    f = build_f(params, n_max)
     g = build_g(params, n_max)
+    f = build_f(params, n_max, g)
     verdict = eq_check(f, g, 0.0)
     lines = [f"equimeasurable,{'true' if verdict else 'false'}", ""]
 

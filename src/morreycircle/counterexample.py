@@ -110,15 +110,16 @@ def build_g(params, N):
     return make_step(np.column_stack((gl, gr)).ravel(), vals)
 
 
-def build_f(params, N):
+def build_f(params, N, g=None):
     """g's decreasing rearrangement, turned to end at 1/16.
 
     The blocks stand in decreasing order on consecutive intervals whose
     breakpoints lie within rounding of the ideal 1/(n+1), 1/n; the top
     one is exactly 1/16.  Rearrangement and rotation keep g's segment
-    lengths, so f's lengths are g's.
+    lengths, so f's lengths are g's.  A caller that already holds
+    build_g(params, N) passes it as ``g``, and g is not built again.
     """
-    g_star = decreasing_rearrangement(build_g(params, N))
+    g_star = decreasing_rearrangement(build_g(params, N) if g is None else g)
     return g_star.rotated(1.0 / 16.0 - g_star.breakpoints[-1])
 
 

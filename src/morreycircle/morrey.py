@@ -15,7 +15,10 @@ oracle share one branch and bound over (start, end) index pairs
 LEAF x LEAF leaves, are bounded from the corner values of the prefix
 sums a chunk at a time and split best bound first, and of a chunk of
 leaves only the columns whose own bound reaches the best ratio found
-are evaluated, in one call.
+are evaluated, in one call.  When every density of |f|^p exceeds lambda
+times its mean, the whole circle can win, and the corner bounds cannot
+prune the arcs near it; both scans then also bound an arc by its
+complement's least density (_complement_bound).
 """
 
 from __future__ import annotations
@@ -98,13 +101,87 @@ def _ratio_bound(ihi, mlo, lam):
       so U - y >= q * 1.9 * 2^-53 - h c > 0.
     - q W < 2^-1022: fl(q W) >= q, and adding T to it errs by at most
       2^-1075, while y <= q + q (c - 1) + h c < q + 2^-1072, so U > y.
-    U is a float at or above y, hence at or above fl(y).
+    U is a float at or above y, hence at or above fl(y).  As P(mlo) <= mlo^lam
+    (1 + d), also U >= y >= ihi / ((1 - d) mlo^lam), which _complement_bound
+    relies on.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ub = ihi / mlo ** lam * _WIDEN + _TINY
     ub[mlo < _MIN_NORMAL] = np.inf
     ub[ihi <= 0.0] = 0.0
     return ub
+
+
+def _complement_bound(total, dmin, measure, terms, lam):
+    """Bound on the ratios of arcs that leave part of the circle out, from
+    the least density dmin of |f|^p on that part.
+
+    ``total`` and ``measure`` are a scan's computed integral and measure of
+    the whole circle (its S and M below), and ``terms`` is n, the length of
+    its longest prefix-sum table.  Returns ``near(mlo, mhi)``, which bounds,
+    for arrays of rectangles, the computed ratio fl(I / fl(m ** lam)) of
+    every pair whose computed measure m lies in [mlo, mhi] and whose
+    computed integral I satisfies
+        (*)  I <= S - D + dmin m + 6 gamma (S + D) + 2 n eta,
+    with D = fl(dmin M), u = 2^-53, eta = 2^-1075 and gamma = gamma_n = n u
+    / (1 - n u) (Higham, Accuracy and Stability, 2nd ed., section 3.1); so
+    1.1 n u >= gamma >= 2 u.  mhi must be at most 1.01 M.  The near-full
+    arcs it is built for have a measure close to M and an integral close to
+    S - dmin (M - m), so it prunes them where the corner bounds, which pair
+    the integral of the longest arc with the measure of the shortest,
+    cannot.
+
+    Why (*) holds.  An arc's complement carries at least dmin times its
+    measure; a product or quotient rounds to fl(z) >= z (1 - u) - eta, and
+    each entry of a cumulative sum of k terms >= 0, and any sum of them,
+    is within gamma_(k-1) times the sum of its terms of the exact sum
+    (Higham section 4.2).
+    - Exact scan, n = 2k for k segments, all of density >= dmin > 0: cm and
+      ci sum mu_j = meas_j and c_j = fl(dens_j mu_j) over two laps, with one
+      lap's exact sums Tm and Tc.  A pair covers segments J, one lap less a
+      non-empty J'.  Its end entry lies within two laps and its start entry
+      within one, so a difference errs by at most 3 gamma times one lap's
+      sum: sum_J mu <= m (1 + 1.01 u) + 3 gamma Tm, I <= (1 + u) (sum_J c +
+      3 gamma Tc), and sum_J' c >= (1 - u) dmin sum_J' mu - k eta with
+      sum_J' mu = Tm - sum_J mu.  With Tm >= M (1 - gamma / 2), Tc <= S (1 +
+      0.51 gamma), m <= 1.01 M and dmin M <= D (1 + u) + eta this gives I <=
+      S - D + dmin m + 4.03 gamma S + 5.03 gamma D + (k + 2) eta.
+    - Grid, n = npts points: cell i contributes c_i = fl(fl(d_i g_i) / tau)
+      >= dmin g_i (1 - u)^2 / tau - 2 eta, with gap g_i >= (1 - u) times the
+      cell's length (less 1.5 u tau for the last cell, whose end pts[0] + tau
+      is rounded).  A pair's cells J leave out the non-empty J', of length L
+      with L / tau >= 1 - m - 4 u, for a forward pair with m normal and for
+      any wrapping one (L = pts[a] - pts[b], m <= 1); so sum_J' c >= dmin (1
+      - m - 8.5 u) - 2 n eta.  Forward pairs have I <= (1 + u) (sum_J c + 2
+      gamma Tc), wrapping ones I <= (pre[b] - pre[a] + total) + 3.04 u Tc,
+      both at most Tc (1 + 3 gamma + 3.04 u) - sum_J' c; with Tc <= S (1 +
+      1.01 gamma), (*) follows, D = dmin.
+
+    Soundness of near.  Let A = S - D + 6 gamma (S + D) + 2 n eta and
+    phi(m) = (A + dmin m) / m^lam for m > 0.  Its derivative is m^(-lam-1)
+    (dmin (1 - lam) m - lam A), whose sign does not decrease with m: phi
+    falls and then rises, so on [mlo, mhi] it is largest at an end, and by
+    (*) every pair there has I / m^lam <= max(phi(mlo), phi(mhi)).  The
+    ends are bounded through ihi = fl(a + fl(dmin m_end)), with a = fl(fl(
+    fl(S - D) + fl(11 n u fl(S + D))) + n 2^-1070), 11 n u exact and n u <=
+    0.01.  As far as they reach ihi, its seven roundings err by at most u
+    times S + D, 0.11 (S + D) twice, 1.21 (S + D) twice, 1.02 D and 2.3 (S +
+    D), plus eta for each product: less than 7 u (S + D) + 3 eta in all.
+    11 n u (S + D) exceeds 6 gamma (S + D) by 4.4 n u (S + D) >= 8.8 u (S +
+    D), and n 2^-1070 = 32 n eta exceeds 2 n eta by 30 n eta >= 60 eta, so
+    ihi >= A + dmin m_end.  _ratio_bound returns U >= ihi / ((1 - d)
+    m_end^lam) >= phi(m_end) / (1 - d), or inf for an mlo below 2^-1022,
+    and fl(m ** lam) >= m^lam (1 - d); so I / fl(m ** lam) <= max(U_lo,
+    U_hi), a float, and so is the quotient's rounding.
+    """
+    mass = dmin * measure
+    a = (total - mass) + 11 * terms * 2.0 ** -53 * (total + mass) + terms * 2.0 ** -1070
+
+    def near(mlo, mhi):
+        return np.maximum(_ratio_bound(a + dmin * mlo, mlo, lam),
+                          _ratio_bound(a + dmin * mhi, mhi, lam))
+
+    return near
 
 
 def _block_min(a):
@@ -158,12 +235,13 @@ def _best_first(rows, cols, bounds, evaluate, best, low):
     final best key, which is thus the smallest key over all pairs.
 
     ``bounds(lev, r0, r1, c0, c1)`` takes arrays of rectangles, rows [r0,
-    r1) x columns [c0, c1) with r0 a multiple of 2**lev, r1 - r0 <= 2**lev
-    and 2**lev >= LEAF, and returns an upper bound on the ratios of each
-    one's pairs, -inf for one that holds none.  ``evaluate(p, q, best)``
-    takes an (M, LEAF) array of rows, which repeats the last row past the
-    end, and an (M, 1) array of columns; it returns the smallest key of
-    those pairs, or ``best`` once it sees that none is below it.
+    r1) x columns [c0, c1) with r0 a multiple of 2**lev, r1 - r0 <= 2**lev,
+    [c0, c1) inside one aligned block of 2**lev columns and 2**lev >= LEAF,
+    and returns an upper bound on the ratios of each one's pairs, -inf for
+    one that holds none.  ``evaluate(p, q, best)`` takes an (M, LEAF) array
+    of rows, which repeats the last row past the end, and an (M, 1) array
+    of columns; it returns the smallest key of those pairs, or ``best``
+    once it sees that none is below it.
 
     Both scans' bounds are sound on any such rectangle.  They read the
     corner values of cumulative sums of nonnegative terms, which are
@@ -173,6 +251,12 @@ def _best_first(rows, cols, bounds, evaluate, best, low):
     aligned block of 2**lev rows that holds the rectangle's rows, read from
     a table of block minima (_block_min): a minimum over more rows is no
     larger.  The only non-monotone step, ** lam, is covered by _ratio_bound.
+    Where every density exceeds lam times the mean, they take the smaller
+    of that bound and _complement_bound's, which needs the rectangle's
+    longest measure too: the corner one, or, where the band or the wrap
+    cuts the rectangle, the largest longest arc of a row of its aligned row
+    block (exact scan), or 1.0 less the shortest step of its aligned column
+    block (grid), again from block tables.
 
     One call holds at most CHUNK rectangles, or CHUNK // LEAF * LEAF**2
     pairs.  Runs keep only the rectangles that could win when they were
@@ -269,12 +353,26 @@ def morrey_norm_exact(f, params):
 
     # dead rows never win, so their steps do not clamp the others' measures
     smin = _block_min(np.where(dead, np.inf, step))
+    # when every density exceeds lam times the mean, arcs near the whole
+    # circle are bounded from their complements too; then n == k, and a
+    # start's longest arc, to q = pos + span - 1, leaves out one segment
+    dmin = dens.min()
+    near = None
+    if span and dmin > lam * total:
+        near = _complement_bound(ci[k], dmin, cm[k], 2 * k, lam)
+        # minus the longest arcs' measures, so that block minima are maxima
+        longest = _block_min(cm[nz] - cm_end[span - 1:span - 1 + n])
 
     def bounds(lev, p0, p1, q0, q1):
         # a pair (pos, q) has q >= pos, so its measure is at least step[pos],
         # hence at least the smallest step of its aligned block of 2**lev rows
         mlo = np.maximum(cm_end[q0] - cm[nz[p1 - 1]], smin(lev, p0))
         ub = _ratio_bound(ci_end[q1 - 1] - ci[nz[p0]], mlo, lam)
+        if near is not None:
+            # and at most its row's longest arc: the corner value alone can
+            # span the whole circle, as the band cuts the rectangle
+            mhi = np.minimum(cm_end[q1 - 1] - cm[nz[p0]], -longest(lev, p0))
+            ub = np.minimum(ub, near(mlo, mhi))
         # an end q pairs with a start pos when 0 <= q - pos < span
         ub[(q1 <= p0) | (q0 - p1 >= span - 1)] = -np.inf
         return ub
@@ -345,14 +443,26 @@ def grid_search(f, params, refinement):
     # smin looks up the shortest over an aligned block of starts
     smin = _block_min((np.append(pts[1:], np.inf) - pts) / tau)
 
+    # as in the exact scan, arcs near the whole circle are bounded from their
+    # complements when every density exceeds lam times the mean
+    dmin = dens.min()
+    near = _complement_bound(total, dmin, 1.0, npts, lam) if dmin > lam * total else None
+
     def bounds(lev, a0, a1, b0, b1):
         ihi = pre[b1 - 1] - pre[a0]
         lo = (pts[b0] - pts[a1 - 1]) / tau
         # pairs with b > a do not wrap (a measure that rounds to 0 becomes
         # 1.0, above any bound used here); pairs with b < a wrap and add
         # total and 1.0; the pair b == a scores 0.0 and never wins
-        fwd = _ratio_bound(ihi, np.maximum(lo, smin(lev, a0)), lam)
+        fwd_lo = np.maximum(lo, smin(lev, a0))
+        fwd = _ratio_bound(ihi, fwd_lo, lam)
         wrap = _ratio_bound(ihi + total, lo + 1.0, lam)
+        if near is not None:
+            hi = (pts[b1 - 1] - pts[a0]) / tau
+            fwd = np.minimum(fwd, near(fwd_lo, hi))
+            # a wrapping pair leaves out the cells from b to a, so at least
+            # cell b: its measure is at most 1.0 less its column's step
+            wrap = np.minimum(wrap, near(lo + 1.0, np.minimum(hi + 1.0, 1.0 - smin(lev, b0))))
         fwd[pts[b1 - 1] <= pts[a0]] = -np.inf
         wrap[pts[b0] >= pts[a1 - 1]] = -np.inf
         return np.where(fwd > wrap, fwd, wrap)

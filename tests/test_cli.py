@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 import morreycircle
 import morreycircle.cli as cli
+import morreycircle.counterexample as counterexample
 from morreycircle import (
     BoundedValue,
     build_g,
@@ -294,6 +295,22 @@ def test_counterexample_refuses_n_above_the_cap_before_building(runner, monkeypa
     assert "Invalid value for '--n'" in res.output
     assert f"x<={cli.MAX_N}" in res.output
     assert f"x<={cli.MAX_N}" in runner.invoke(main, ["counterexample", "--help"]).output
+
+
+def test_counterexample_builds_g_once_at_n(runner, monkeypatch):
+    # f is g's rearrangement, so the command derives it from the g it holds
+    # rather than building g at --n a second time inside build_f
+    built, build = [], counterexample.build_g
+
+    def counting(params, n):
+        built.append(n)
+        return build(params, n)
+
+    monkeypatch.setattr(cli, "build_g", counting)
+    monkeypatch.setattr(counterexample, "build_g", counting)
+    res = runner.invoke(main, ["counterexample", "--n", "300", "--t-grid", "1e-2"])
+    assert res.exit_code == 0
+    assert built.count(300) == 1
 
 
 def test_counterexample_output_deterministic(runner, tmp_path):

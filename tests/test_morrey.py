@@ -28,7 +28,8 @@ from morreycircle.errors import (
     RefinementOutOfRange,
     ZeroMeasureArc,
 )
-from morreycircle.morrey import MAX_REFINEMENT
+from morreycircle import morrey
+from morreycircle.morrey import LEAF, MAX_REFINEMENT
 
 from conftest import random_step
 from references import exact_scan, grid_scan
@@ -303,6 +304,19 @@ def _step_with_tiny_segment(rng, k):
     return make_step(bps, vals)
 
 
+def _two_valued(rng, k):
+    # near-constant: every density is far above lam times the mean
+    bps = np.unique(rng.uniform(-pi, pi, size=k))
+    hi = 1.0 + 2.0 ** -int(rng.integers(1, 40))
+    return make_step(bps, np.where(rng.random(size=len(bps)) < 0.5, 1.0, hi))
+
+
+def _positive_step(rng):
+    # acceptance criterion 5's shape with no zero segment
+    f = random_step(rng, value_lo=0.0)
+    return make_step(f.breakpoints, rng.uniform(0.5, 10.0, size=f.num_segments))
+
+
 def test_exact_scan_matches_per_start_reference(rng):
     bps = -3.0 + 0.05 * np.arange(65)
     fixtures = [
@@ -324,6 +338,10 @@ def test_exact_scan_matches_per_start_reference(rng):
     cases += [make_step(f.breakpoints, np.round(f.values).tolist())
               for f in (random_step(rng, max_segments=150) for _ in range(40))]
     cases += [_step_with_tiny_segment(rng, int(rng.integers(3, 100))) for _ in range(40)]
+    # whole-circle winners, whose near-full arcs the complement bound prunes
+    cases += [constant(1.0), constant(7.0)]
+    cases += [_two_valued(rng, int(rng.integers(2, 300))) for _ in range(30)]
+    cases += [_positive_step(rng) for _ in range(60)]
     for c, f in enumerate(cases):
         mp = MorreyParams((1.0, 2.5)[c % 2], (0.1, 0.5, 0.9, 0.0)[c % 4])
         want = exact_scan(f, mp)
@@ -537,6 +555,13 @@ def test_grid_scan_matches_per_start_reference(rng):
         f = random_step(rng, value_lo=0.0, value_hi=10.0)
         mp = MorreyParams(1.0, 0.5)
         assert grid_search(f, mp, 4096) == grid_scan(f, mp, 4096)
+    # whole-circle winners, whose near-full arcs the complement bound prunes
+    cases = [constant(1.0), constant(3.0)] + [_two_valued(rng, 50) for _ in range(3)]
+    cases += [_positive_step(rng) for _ in range(6)]
+    for c, f in enumerate(cases):
+        mp = MorreyParams((1.0, 2.5)[c % 2], (0.1, 0.5, 0.9)[c % 3])
+        for refinement in (5, 64, 4096):
+            assert grid_search(f, mp, refinement) == grid_scan(f, mp, refinement), (c, f)
 
 
 def test_grid_scan_visits_rows_best_bound_first(rng):
@@ -555,6 +580,162 @@ def test_grid_seed_wins_ties_without_evaluating_them():
     res = grid_search(constant(0.0), mp, 4096)
     assert res == grid_scan(constant(0.0), mp, 4096)
     assert res.pairs == 0
+
+
+# --- the complement bound of near-full arcs ---
+
+def _spied_scan(monkeypatch, scan, *args):
+    """Run a scan, keeping what it hands the branch and bound, and spying on
+    its complement bound: the returned list holds that bound's outputs of
+    the latest bounds call, forward pairs' then wrapping ones' in the grid."""
+    seen, outputs = {}, []
+    kernel, factory = morrey._best_first, morrey._complement_bound
+
+    def spy_kernel(rows, cols, bounds, evaluate, best, low):
+        seen.update(rows=rows, cols=cols, bounds=bounds, evaluate=evaluate)
+        return kernel(rows, cols, bounds, evaluate, best, low)
+
+    def spy_factory(*fargs):
+        near = factory(*fargs)
+
+        def spy(mlo, mhi):
+            outputs.append(near(mlo, mhi))
+            return outputs[-1]
+        return spy
+
+    monkeypatch.setattr(morrey, "_best_first", spy_kernel)
+    monkeypatch.setattr(morrey, "_complement_bound", spy_factory)
+    scan(*args)
+    return seen, outputs
+
+
+def _aligned_rectangles(rows, cols, rng, most, top, tight):
+    """(lev, r0, r1, c0, c1) of aligned squares at each level from ``top``
+    down, cut at the extent, and of leaf columns: all of them, or ``most``
+    of each level at random and those that hold a (row, column) pair of
+    ``tight``."""
+    lev = LEAF.bit_length() - 1
+    levels = [(k, 1 << k, 1 << k) for k in range(top, lev - 1, -1)] + [(lev, LEAF, 1)]
+    for lev, h, w in levels:
+        n, m = -(-rows // h), -(-cols // w)
+        if most is None:
+            picks = [(i, j) for i in range(n) for j in range(m)]
+        else:
+            picks = [(r // h, c // w) for r, c in tight]
+            picks += zip(rng.integers(0, n, most), rng.integers(0, m, most))
+        for i, j in sorted(set(picks)):
+            yield lev, i * h, min(i * h + h, rows), j * w, min(j * w + w, cols)
+
+
+def _top_ratio(evaluate, best, columns):
+    """Largest ratio that a scan's own evaluate computes over the pairs of
+    rows[i] x {c} for each (c, rows) of ``columns``; -inf for none."""
+    p, q = [], []
+    for c, rows in columns:
+        for i in range(0, len(rows), LEAF):
+            chunk = list(rows[i:i + LEAF])
+            p.append(chunk + chunk[-1:] * (LEAF - len(chunk)))
+            q.append([c])
+    if not p:
+        return -np.inf
+    return -evaluate(np.array(p), np.array(q), best)[0]
+
+
+def _dense_step(rng, bps, lam, p):
+    # random positive densities whose least one, taken by about a third of
+    # the segments, lies just above lam times their mean: the weakest input
+    # the complement bound is used on; it bounds the arcs that leave out only
+    # such segments most tightly
+    bps = np.unique(bps)
+    w = np.diff(np.append(bps, bps[0] + tau)) / tau
+    x = np.where(rng.random(size=len(bps)) < 0.3, 0.0, rng.exponential(size=len(bps)))
+    x -= x.min()
+    c = lam * 1.001 * (w @ x) / (1.0 - lam * 1.001)
+    return make_step(bps, (c + x) ** (1.0 / p))
+
+
+def _tiny_cells(rng, refinement):
+    # breakpoints 1e-12 rad on both sides of some grid points
+    grid = -pi + tau * np.arange(1, refinement) / refinement
+    at = rng.choice(grid, 6, replace=False)
+    return np.concatenate((at - 1e-12, at + 1e-12, rng.uniform(-pi, pi, 4)))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5])
+@pytest.mark.parametrize("lam", [0.05, 0.5, 0.99])
+def test_complement_bound_is_sound_on_every_aligned_rectangle(rng, monkeypatch, p, lam):
+    # brute force: on aligned rectangles at every level and on leaf columns,
+    # the complement bound is at or above every ratio the scan computes.  The
+    # small inputs have all their rectangles checked; the large ones, whose
+    # prefix sums err the most, those of 64 x 64 pairs and less that hold an
+    # arc leaving out one segment or cell: 30 at random, the rest at random
+    mp = MorreyParams(p, lam)
+
+    def dense(bps):
+        return _dense_step(rng, bps, lam, p)
+
+    inputs = [(morrey_norm_exact, dense(rng.uniform(-pi, pi, k)), ()) for k in (17, 40, 70)]
+    inputs += [(morrey_norm_exact, dense(_tiny_cells(rng, 8)), ()),
+               (morrey_norm_exact, dense(rng.uniform(-pi, pi, 3000)), ()),
+               (grid_search, dense(rng.uniform(-pi, pi, 12)), (64,)),
+               (grid_search, dense(_tiny_cells(rng, 64)), (64,)),
+               (grid_search, dense(_tiny_cells(rng, 2048)), (2048,))]
+    checked = 0
+    for scan, f, refinement in inputs:
+        seen, outputs = _spied_scan(monkeypatch, scan, f, mp, *refinement)
+        bounds, evaluate, rows, cols = (seen[x] for x in ("bounds", "evaluate", "rows", "cols"))
+        grid = scan is grid_search
+        best = (np.inf, -1, -1) if grid else (np.inf, 0.0, 0, 0)
+        top, most, tight = (max(rows, cols, LEAF) - 1).bit_length(), None, []
+        if rows > 100:
+            # the exact scan's row r leaves out segment r - 1 at column r +
+            # rows - 2, the grid's wrapping pair (a, a - 1) cell a - 1
+            top, most = 6, 20
+            tight = [(r, r + rows - 2 - grid * (rows - 1)) for r in rng.integers(1, rows, 30)]
+        for lev, r0, r1, c0, c1 in _aligned_rectangles(rows, cols, rng, most, top, tight):
+            outputs.clear()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ub = bounds(lev, *(np.array([x]) for x in (r0, r1, c0, c1)))
+            assert len(outputs) == 1 + grid
+            if grid:
+                # forward pairs, b > a, and wrapping ones, b < a; b == a scores 0
+                fwd = [(c, range(r0, min(r1, c))) for c in range(c0, c1)]
+                wrap = [(c, range(max(r0, c + 1), r1)) for c in range(c0, c1)]
+                parts = zip(outputs, (fwd, wrap))
+            else:
+                parts = [(outputs[0], [(c, range(r0, r1)) for c in range(c0, c1)])]
+            for near, columns in parts:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = _top_ratio(evaluate, best, columns)
+                if ratio > -np.inf:
+                    assert near[0] >= ratio, (scan.__name__, f, lev, r0, r1, c0, c1)
+                    assert ub[0] >= ratio
+                    checked += 1
+    assert checked > 1000, checked
+
+
+def test_complement_bound_prunes_near_full_arcs(rng):
+    # a work count, identical on every host: with the corner bounds alone the
+    # grid computed 122880 pairs on the constant, the exact scan 314928 on a
+    # near-constant function of 1e4 segments
+    mp = MorreyParams(1.0, 0.5)
+    assert grid_search(constant(1.0), mp, 4096).pairs < 1000
+    f = make_step(np.unique(rng.uniform(-pi, pi, size=10_000)), rng.uniform(1.0, 1.5, size=10_000))
+    assert morrey_norm_exact(f, mp).pairs < 5e4
+
+
+def test_complement_bound_is_off_with_a_zero_segment(monkeypatch):
+    # the whole circle cannot win where |f| vanishes on a segment, so the
+    # scans of g and f do no extra work
+    def unused(*args):
+        raise AssertionError("complement bound built")
+
+    monkeypatch.setattr(morrey, "_complement_bound", unused)
+    prm = validate_params(1.0, 0.5, 0.2)
+    for f in (build_g(prm, 1000), build_f(prm, 1000)):
+        for lam in (0.5, 0.9):
+            morrey_norm_exact(f, MorreyParams(1.0, lam))
+            grid_search(f, MorreyParams(1.0, lam), 256)
 
 
 def test_grid_nondecreasing_under_doubling(rng):
